@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands directly.
 
-.PHONY: build test race bench bench-smoke bench-gate tables trace series ratls chain
+.PHONY: build test race bench tables trace series
 
 build:
 	go build ./...
@@ -11,24 +11,11 @@ test:
 race:
 	go test -race ./...
 
-# bench regenerates BENCH_results.json — the committed perf baseline.
-# Run it on an idle machine; the JSON records GOMAXPROCS and the date.
+# bench runs the benchmark BENCHMARK.json declares: the default
+# transcript and the paper's three applications, end to end and layer
+# by layer. See bench/README.md for its flags.
 bench:
-	go run ./cmd/benchjson -out BENCH_results.json
-
-# bench-smoke is the CI guard: every benchmark must still run (one
-# iteration each), without asserting anything about its speed.
-bench-smoke:
-	go test -run '^$$' -bench=. -benchtime=1x ./...
-
-# bench-gate runs the six headline benchmarks fresh and fails if any
-# regressed past 25% of the committed BENCH_baseline.json. Run on the
-# same class of machine as the baseline; CI uses a wider threshold
-# because two of the six metrics are wall-clock.
-bench-gate:
-	go run ./cmd/benchjson -out /tmp/bench-gate.json -benchtime 1x \
-		-pattern 'FullSweep|ScaleSweep|LoadSweep|XcallSweep|RATLSSweep|ChainSweep'
-	go run ./cmd/benchjson -gate -results /tmp/bench-gate.json
+	bash bench/run.sh
 
 tables:
 	go run ./cmd/sgxnet-tables
@@ -40,23 +27,9 @@ trace:
 	go run ./cmd/sgxnet-tables -trace out.trace > /dev/null
 	go run ./cmd/sgxnet-trace -check -min-coverage 0.95 out.trace
 
-# ratls runs the attested-channel acceptance gates: the -ratls-sweep
-# golden transcript, its workers-1-vs-8 byte-equivalence, and the
-# sharded verification cache's concurrency property under -race.
-ratls:
-	go test ./cmd/sgxnet-tables -run 'TestGolden$$|TestRATLSSweepWorkersEquivalence' -v
-	go test -race ./internal/ratls -v
-
-# chain runs the trusted NF-chain acceptance gates: the -chain-sweep
-# golden transcript, its workers-1-vs-8 byte-equivalence, and the
-# nfchain package (stages, rule engine, admission) under -race.
-chain:
-	go test ./cmd/sgxnet-tables -run 'TestGolden$$|TestChainSweepWorkersEquivalence' -v
-	go test -race ./internal/nfchain -v
-
-# series records the windowed time-series export of the load sweep and
-# runs the analyzer over it: top movers, monotone-growth gauges, and the
-# multi-window SLO burn-rate alerts.
+# series records the windowed time-series export of the full
+# deterministic run and runs the analyzer over it: top movers,
+# monotone-growth gauges, and the multi-window SLO burn-rate alerts.
 series:
-	go run ./cmd/sgxnet-tables -load-sweep -series out.csv > /dev/null
+	go run ./cmd/sgxnet-tables -series out.csv > /dev/null
 	go run ./cmd/sgxnet-trace -series out.csv

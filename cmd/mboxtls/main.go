@@ -42,7 +42,7 @@ func main() {
 		fmt.Printf("%s before key provisioning: %d alerts (sees only ciphertext)\n", mb.Name, len(mb.Alerts()))
 	}
 
-	n, err := rig.ProvisionAll()
+	n, err := rig.ProvisionAll(nil, "")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	}
 	fmt.Printf("topology: %d ASes, %d links (seed %d)\n", tp.N(), tp.Links(), *seed)
 
-	native, err := sdnctl.RunNative(tp)
+	native, err := sdnctl.RunNative(tp, nil, "")
 	if err != nil {
 		log.Fatalf("native run: %v", err)
 	}
@@ -67,7 +67,7 @@ func main() {
 		return nil
 	}
 
-	sgx, err := sdnctl.RunSGXWithPredicates(tp, runPredicates)
+	sgx, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{After: runPredicates})
 	if err != nil {
 		log.Fatalf("SGX run: %v", err)
 	}

@@ -3,271 +3,137 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files")
-
-// goldenCases are the deterministic CLI invocations. The fault sweep is
-// deliberately absent: its numbers depend on real timeouts.
-var goldenCases = []struct {
-	name string
-	o    options
-}{
-	{"all", options{}},
-	{"table1", options{table: 1}},
-	{"table2", options{table: 2}},
-	{"table3", options{table: 3}},
-	{"table4", options{table: 4}},
-	{"fig3", options{fig: 3}},
-	{"fig3-csv", options{fig: 3, csv: true}},
-	{"ablations", options{ablations: true}},
-	{"epc-sweep", options{epcSweep: true}},
-	{"xcall-sweep", options{xcallSweep: true}},
-	{"load-sweep", options{loadSweep: true}},
-	{"scale-sweep", options{scaleSweep: true}},
-	{"ratls-sweep", options{ratlsSweep: true}},
-	{"chain-sweep", options{chainSweep: true}},
-}
+var update = flag.Bool("update", false, "rewrite all.golden and fig3-csv.golden")
 
 func golden(name string) string { return filepath.Join("testdata", name+".golden") }
 
-// TestGoldenUpdate regenerates every golden transcript from scratch.
-// Run with -update after an intentional change to the instruction model
-// or the renderers; otherwise it is a no-op.
-func TestGoldenUpdate(t *testing.T) {
-	if !*update {
-		t.Skip("run with -update to rewrite the golden files")
+// render runs sgxnet-tables with args and returns its transcript.
+func render(t *testing.T, args ...string) []byte {
+	t.Helper()
+	o, err := parse(flag.NewFlagSet("sgxnet-tables", flag.ContinueOnError), args)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range goldenCases {
-		var b bytes.Buffer
-		if err := emit(&b, tc.o); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := os.WriteFile(golden(tc.name), b.Bytes(), 0o644); err != nil {
+	var b bytes.Buffer
+	if err := emit(&b, o); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// readGolden returns a golden file's bytes, rewriting it from got first
+// under -update.
+func readGolden(t *testing.T, name string, got []byte) []byte {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(golden(name), got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
-
-// TestGolden checks the default run against all.golden byte for byte,
-// then checks each single-section golden without recomputing: emit
-// writes the same section bytes whether selected alone or as part of
-// the default run, so all.golden must be exactly the concatenation of
-// the per-section transcripts. Figure 3's sweep dominates the runtime;
-// this keeps the full golden sweep to one simulation pass.
-func TestGolden(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var b bytes.Buffer
-	if err := emit(&b, options{}); err != nil {
-		t.Fatal(err)
-	}
-	all, err := os.ReadFile(golden("all"))
+	want, err := os.ReadFile(golden(name))
 	if err != nil {
 		t.Fatalf("missing golden (rerun with -update): %v", err)
 	}
-	if !bytes.Equal(b.Bytes(), all) {
-		t.Fatalf("default output diverges from %s (rerun with -update if intended)\ngot:\n%s\nwant:\n%s",
-			golden("all"), b.Bytes(), all)
-	}
-	var concat []byte
-	for _, name := range []string{"table1", "table2", "table3", "table4", "fig3", "ablations", "epc-sweep", "xcall-sweep", "load-sweep", "scale-sweep", "ratls-sweep", "chain-sweep"} {
-		sec, err := os.ReadFile(golden(name))
-		if err != nil {
-			t.Fatalf("missing golden (rerun with -update): %v", err)
+	return want
+}
+
+// firstDiff describes the first line at which got and want differ.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := func(ls []string, i int) string {
+		if i < len(ls) {
+			return ls[i]
 		}
-		if !bytes.Contains(all, sec) {
-			t.Errorf("%s is not a slice of all.golden (rerun with -update)", golden(name))
-		}
-		concat = append(concat, sec...)
+		return "<end>"
 	}
-	if !bytes.Equal(concat, all) {
-		t.Error("per-section goldens do not concatenate to all.golden (rerun with -update)")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	return fmt.Sprintf("first difference at line %d:\n got: %q\nwant: %q", i+1, line(g, i), line(w, i))
+}
+
+// TestGolden is the transcript's determinism gate, driven by the
+// sections table. The default run at -workers 8 must equal all.golden
+// byte for byte. Then each section but the extras, selected alone by
+// its own flag, must render the same bytes at -workers 1 and at
+// -workers 8, and those bytes must be its slice of all.golden: the
+// slices, taken in table order, tile the whole file. -workers 8
+// oversubscribes small machines on purpose, and CI runs this under
+// -race, so it also shakes out data races in the fan-out.
+func TestGolden(t *testing.T) {
+	all := render(t, "-workers", "8")
+	want := readGolden(t, "all", all)
+	if !bytes.Equal(all, want) {
+		t.Fatalf("default output diverges from %s (rerun with -update if intended)\n%s",
+			golden("all"), firstDiff(all, want))
+	}
+	rest := want
+	for _, s := range sections {
+		if s.extra {
+			continue
+		}
+		flags := []string{"-" + s.flag}
+		if s.arg != 0 {
+			flags = append(flags, strconv.Itoa(s.arg))
+		}
+		var n int
+		ok := t.Run(s.name, func(t *testing.T) {
+			serial := render(t, append(flags, "-workers", "1")...)
+			parallel := render(t, append(flags, "-workers", "8")...)
+			if !bytes.Equal(serial, parallel) {
+				t.Fatalf("%v at -workers 8 diverges from -workers 1\n%s", flags, firstDiff(parallel, serial))
+			}
+			if !bytes.HasPrefix(rest, serial) {
+				t.Fatalf("%v is not its slice of %s\n%s", flags, golden("all"),
+					firstDiff(serial, rest[:min(len(rest), len(serial))]))
+			}
+			n = len(serial)
+		})
+		if !ok {
+			return // the remaining slices cannot be located
+		}
+		rest = rest[n:]
+	}
+	if len(rest) > 0 {
+		t.Errorf("%s ends with %d bytes no section renders", golden("all"), len(rest))
 	}
 }
 
-// TestParallelSerialEquivalence is the evaluation engine's end-to-end
-// determinism gate: the full transcript rendered strictly serially
-// (-workers 1) and at high parallelism (-workers 8, oversubscribed on
-// small machines on purpose) must be byte-identical. CI runs this under
-// -race, so it also shakes out data races in the fan-out itself.
+// TestParallelSerialEquivalence renders the default run strictly
+// serially (-workers 1). It must equal all.golden, which TestGolden
+// holds the -workers 8 run to, so the whole transcript is the same at
+// any worker count, not just each section alone.
 func TestParallelSerialEquivalence(t *testing.T) {
 	if *update {
 		t.Skip("goldens being rewritten")
 	}
 	if testing.Short() {
-		t.Skip("renders the full transcript twice; slow under -short")
+		t.Skip("renders the full transcript; slow under -short")
 	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-workers 8 transcript diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestEPCSweepWorkersEquivalence is the acceptance gate for the EPC
-// sweep specifically: its transcript must be byte-identical at
-// -workers 1 and -workers 8. (The sweep also rides in the default run,
-// so TestParallelSerialEquivalence covers it there; this test keeps
-// the guarantee even when the sweep is selected alone, and is cheap
-// enough to run under -short.)
-func TestEPCSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{epcSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{epcSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-epc-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestXcallSweepWorkersEquivalence is the acceptance gate for the
-// switchless-call ablation: its transcript must be byte-identical at
-// -workers 1 and -workers 8, cheap enough to run under -short.
-func TestXcallSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{xcallSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{xcallSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-xcall-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestLoadSweepWorkersEquivalence is the acceptance gate for the
-// open-loop load sweep: latency percentiles, violation counts, and
-// utilization must be byte-identical at -workers 1 and -workers 8 —
-// the histogram merge and per-point rate calibration cannot let the
-// worker count show through.
-func TestLoadSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{loadSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{loadSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-load-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestScaleSweepWorkersEquivalence is the acceptance gate for the
-// discrete-event scale sweep: each cell is one single-threaded kernel
-// run, so the transcript — event counts, peak backlog, makespans, and
-// per-op overheads for thousands of hosts — must be byte-identical at
-// -workers 1 and -workers 8. CI runs this under -race as the kernel's
-// end-to-end determinism check.
-func TestScaleSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{scaleSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{scaleSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-scale-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestRATLSSweepWorkersEquivalence is the acceptance gate for the
-// attested-channel sweep: its transcript — cold/warm verification
-// splits, hit rates, per-connection cycle costs — must be
-// byte-identical at -workers 1 and -workers 8. Each cell additionally
-// fans its warm phase across goroutines internally, so this also
-// checks that in-cell concurrency cannot show through the tallies.
-func TestRATLSSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{ratlsSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{ratlsSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-ratls-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestChainSweepWorkersEquivalence is the acceptance gate for the
-// trusted NF-chain sweep: its transcript — hop counts, routing
-// outcomes, per-hop crossing costs, rule-engine shares — must be
-// byte-identical at -workers 1 and -workers 8. Each SGX cell builds a
-// private network, platform, and verifier, so nothing a worker does can
-// show through another cell's tallies.
-func TestChainSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{chainSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{chainSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-chain-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
+	serial := render(t, "-workers", "1")
+	if want := readGolden(t, "all", serial); !bytes.Equal(serial, want) {
+		t.Errorf("-workers 1 transcript diverges from %s\n%s", golden("all"), firstDiff(serial, want))
 	}
 }
 
 // TestGoldenCSV covers the one output shape all.golden cannot: the CSV
 // rendering of Figure 3's points.
 func TestGoldenCSV(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
 	if testing.Short() {
 		t.Skip("repeats the Figure 3 sweep; slow under -short")
 	}
-	var b bytes.Buffer
-	if err := emit(&b, options{fig: 3, csv: true}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(golden("fig3-csv"))
-	if err != nil {
-		t.Fatalf("missing golden (rerun with -update): %v", err)
-	}
-	if !bytes.Equal(b.Bytes(), want) {
-		t.Errorf("CSV output diverges from %s (rerun with -update if intended)\ngot:\n%s\nwant:\n%s",
-			golden("fig3-csv"), b.Bytes(), want)
+	got := render(t, "-fig", "3", "-csv")
+	if want := readGolden(t, "fig3-csv", got); !bytes.Equal(got, want) {
+		t.Errorf("CSV output diverges from %s (rerun with -update if intended)\n%s",
+			golden("fig3-csv"), firstDiff(got, want))
 	}
 }

@@ -25,7 +25,7 @@ func main() {
 	}
 	fmt.Printf("AS graph: %d ASes, %d links\n", tp.N(), tp.Links())
 
-	report, err := sdnctl.RunSGXWithPredicates(tp, func(_ *sdnctl.Controller, locals []*sdnctl.ASLocal) error {
+	report, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{After: func(_ *sdnctl.Controller, locals []*sdnctl.ASLocal) error {
 		// AS2 has promised AS3 that its selected routes never transit
 		// AS1 (say, a sanctioned network). Both register the identical
 		// predicate; only then will the controller evaluate it.
@@ -50,7 +50,7 @@ func main() {
 		}
 		fmt.Printf("AS7 (non-party) verification attempt: %q\n", resp.Err)
 		return nil
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func main() {
 		len(mb.Alerts()))
 
 	// Phase 2: attest + provision over the secure channel.
-	n, err := rig.ProvisionAll()
+	n, err := rig.ProvisionAll(nil, "")
 	if err != nil {
 		log.Fatal(err)
 	}

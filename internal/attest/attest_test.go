@@ -190,9 +190,9 @@ func TestTable1RemoteAttestation(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := newFixture(t, Policy{})
-		f.target.Meter().Reset()
-		f.challenger.Meter().Reset()
-		f.agentT.QE.Meter().Reset()
+		f.target.Meter().SnapshotAndReset()
+		f.challenger.Meter().SnapshotAndReset()
+		f.agentT.QE.Meter().SnapshotAndReset()
 		_, _, ce, te := f.run(t, c.wantDH)
 		if ce != nil || te != nil {
 			t.Fatalf("dh=%v: challenger err=%v target err=%v", c.wantDH, ce, te)
@@ -215,9 +215,9 @@ func TestTable1RemoteAttestation(t *testing.T) {
 // up ~90% of the attestation cycles.
 func TestDHDominatesCycles(t *testing.T) {
 	f := newFixture(t, Policy{})
-	f.target.Meter().Reset()
-	f.challenger.Meter().Reset()
-	f.agentT.QE.Meter().Reset()
+	f.target.Meter().SnapshotAndReset()
+	f.challenger.Meter().SnapshotAndReset()
+	f.agentT.QE.Meter().SnapshotAndReset()
 	if _, _, ce, te := f.run(t, true); ce != nil || te != nil {
 		t.Fatalf("ce=%v te=%v", ce, te)
 	}

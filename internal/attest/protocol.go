@@ -268,6 +268,9 @@ func Respond(enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn 
 // delta for that round. A nil trace makes it identical to Respond. The
 // track must be private to this (sequential) driver flow.
 func RespondTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn *netsim.Conn) (uint32, error) {
+	// A previous run's closing charges (finish's top-up and EEXIT, sent
+	// after its ack) must land before this run's top-up window opens.
+	enc.Meter().Settle()
 	all := tr.Begin(track, "attest.respond", enc.Meter())
 	defer all.End()
 	cid := shim.Adopt(conn)
@@ -305,6 +308,9 @@ func RespondTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.I
 	if _, err := qconn.Recv(); err != nil { // qe-bye
 		return 0, err
 	}
+	// The quote's charges must all land before this attestation can
+	// complete: the challenger returns only after finish's ack.
+	awaitServe(qconn)
 	if err := round("attest.t.finish"); err != nil {
 		return 0, err
 	}

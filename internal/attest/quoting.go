@@ -216,8 +216,30 @@ func NewAgent(host *netsim.SimHost, archSigner *core.Signer) (*Agent, error) {
 	return a, nil
 }
 
+// serving maps a quote connection's netsim.Conn.Key to a channel that
+// closes once the serve on it has returned. The quoting enclave sends
+// qe-bye before its closing top-up charge, its EEXIT and the agent's
+// span, so a requester that returned on qe-bye alone could leave those
+// charges to land after its caller snapshots the QE meter — or inside
+// the next serve's top-up, which reads the whole meter. awaitServe
+// closes that window. Entries are keyed per connection and removed when
+// the serve's connection ends, so concurrent scenarios never share one.
+var serving sync.Map
+
+// awaitServe blocks until the serve on the requester's end c of a quote
+// connection has returned. Call it only after qe-bye: from then on the
+// serve does local work only, so the wait is short and cannot hang.
+func awaitServe(c *netsim.Conn) {
+	if done, ok := serving.Load(c.Key()); ok {
+		<-done.(chan struct{})
+	}
+}
+
 func (a *Agent) serveConn(c *netsim.Conn) {
 	defer c.Close()
+	done := make(chan struct{})
+	serving.Store(c.Key(), done)
+	defer serving.Delete(c.Key())
 	id := a.shim.Adopt(c)
 	arg := netsim.EncodeSend(id, nil)
 	a.trMu.Lock()
@@ -233,6 +255,7 @@ func (a *Agent) serveConn(c *netsim.Conn) {
 	if tr != nil {
 		tr.RecordSpan(track, "attest.quote", a.QE.Meter().Snapshot().Sub(before))
 	}
+	close(done)
 	if err != nil {
 		// Refused (e.g. forged report): the requester sees the closed
 		// connection. Denial is always in the host's power; wrong quotes

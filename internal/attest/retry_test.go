@@ -63,7 +63,7 @@ func TestChallengeRetrySurvivesDrops(t *testing.T) {
 func TestRetryChargesTheMeter(t *testing.T) {
 	f := newFixture(t, Policy{})
 	// No listener at all: every attempt dies on ErrNoRoute.
-	f.challenger.Meter().Reset()
+	f.challenger.Meter().SnapshotAndReset()
 	pol := RetryPolicy{Attempts: 3, RecvTimeout: 20 * time.Millisecond,
 		Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond}
 	_, _, _, _, err := ChallengeRetry(f.challenger, f.cShim, f.cState,
@@ -85,7 +85,7 @@ func TestChallengeTimesOutAgainstSilentTarget(t *testing.T) {
 	defer l.Close()
 	go l.Serve(func(c *netsim.Conn) { /* accept and say nothing */ })
 
-	f.challenger.Meter().Reset()
+	f.challenger.Meter().SnapshotAndReset()
 	pol := RetryPolicy{Attempts: 2, RecvTimeout: 30 * time.Millisecond,
 		Backoff: time.Millisecond, BackoffMax: time.Millisecond}
 	_, _, _, _, err = ChallengeRetry(f.challenger, f.cShim, f.cState,
@@ -202,7 +202,7 @@ func TestReestablishInvalidatesAndCharges(t *testing.T) {
 	l.Close() // next dial fails: isolates the driver's own charge
 
 	inv := &recordingInvalidator{st: f.cState}
-	f.challenger.Meter().Reset()
+	f.challenger.Meter().SnapshotAndReset()
 	deadDial := func() (*netsim.Conn, error) { return f.hostC.Dial("no-such-host", "app") }
 	if _, _, _, _, err := Reestablish(nil, "", f.challenger, f.cShim, f.cState,
 		cid, inv, deadDial, true, RetryPolicy{Attempts: 1, RecvTimeout: 20 * time.Millisecond,

@@ -245,6 +245,8 @@ func (e *Enclave) Call(fn string, arg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.meter.Enter()
+	defer e.meter.Exit()
 	e.meter.ChargeSGX(1) // EENTER
 	if hp := e.plat.probe.Load(); hp != nil {
 		hp.p.Observe(KindEENTER, 1)
@@ -269,6 +271,8 @@ func (e *Enclave) SwitchlessCall(fn string, arg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.meter.Enter()
+	defer e.meter.Exit()
 	env := &Env{e: e}
 	return h(env, arg)
 }

@@ -242,7 +242,7 @@ func TestOCallRequiresHostAndChargesExit(t *testing.T) {
 	e.BindHost(HostFunc(func(service string, arg []byte) ([]byte, error) {
 		return append([]byte(service+":"), arg...), nil
 	}))
-	e.Meter().Reset()
+	e.Meter().SnapshotAndReset()
 	out, err := e.Call("do", []byte("x"))
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -50,6 +51,10 @@ func stripeIndex() uint32 {
 // parallel scenario runs never contend on a single cache line.
 type Meter struct {
 	stripes [meterStripes]meterStripe
+
+	// running counts enclave calls charging this meter that are not
+	// parked waiting for input; see Settle.
+	running atomic.Int64
 }
 
 // NewMeter returns a zeroed Meter. The zero value is also ready to use.
@@ -113,33 +118,51 @@ func (m *Meter) Snapshot() Tally {
 	return Tally{SGXU: m.SGX(), Normal: m.Normal()}
 }
 
-// Reset zeroes both counters. Like Snapshot, Reset is not atomic with
-// respect to concurrent Charge* calls: the classic Snapshot-then-Reset
-// sequence silently drops any charge that lands between the two calls,
-// and a charge racing Reset itself may survive into the next period on
-// one stripe while its sibling is zeroed. Use SnapshotAndReset when the
-// tallies must partition exactly across period boundaries.
-func (m *Meter) Reset() {
-	if m == nil {
-		return
-	}
-	for i := range m.stripes {
-		m.stripes[i].sgxU.Store(0)
-		m.stripes[i].normal.Store(0)
+// Enter marks enclave code running on the meter's behalf:
+// Enclave.Call and Enclave.SwitchlessCall enter for the length of the
+// call. Code that parks waiting for input, such as the I/O shim's
+// receive, exits for the wait and enters again after it: it charges
+// nothing until a peer acts, and Settle must never wait on a peer.
+func (m *Meter) Enter() {
+	if m != nil {
+		m.running.Add(1)
 	}
 }
 
-// SnapshotAndReset atomically drains the meter: it returns everything
-// charged since the previous boundary and leaves the meter zeroed,
-// using an atomic swap per counter so that every concurrent charge
-// lands in exactly one period — either the returned tally or the next
-// one, never both and never neither. This is the correct primitive for
-// phase accounting (the eval runner's steady-state boundary) where the
-// per-phase tallies must sum to the run's total.
+// Exit ends what Enter began.
+func (m *Meter) Exit() {
+	if m != nil {
+		m.running.Add(-1)
+	}
+}
+
+// Settle waits until no enclave code is charging the meter. An enclave
+// that replies from inside a call still charges after its peer has the
+// reply — the closing EEXIT, a protocol top-up — so a caller that has
+// seen every reply it expects must settle before reading a phase
+// boundary, or those charges land on either side of it by scheduling.
+// Code running inside the meter's own enclave must not call it.
+func (m *Meter) Settle() {
+	if m == nil {
+		return
+	}
+	for m.running.Load() > 0 {
+		runtime.Gosched()
+	}
+}
+
+// SnapshotAndReset settles the meter, then atomically drains it: it
+// returns everything charged since the previous boundary and leaves the
+// meter zeroed, using an atomic swap per counter so that every
+// concurrent charge lands in exactly one period — either the returned
+// tally or the next one, never both and never neither. This is the one
+// primitive for phase accounting (the eval runner's steady-state
+// boundary), where the per-phase tallies must sum to the run's total.
 func (m *Meter) SnapshotAndReset() Tally {
 	if m == nil {
 		return Tally{}
 	}
+	m.Settle()
 	var t Tally
 	for i := range m.stripes {
 		t.SGXU += m.stripes[i].sgxU.Swap(0)

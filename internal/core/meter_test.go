@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMeterZeroValue(t *testing.T) {
@@ -22,7 +23,7 @@ func TestMeterNilSafe(t *testing.T) {
 	var m *Meter
 	m.ChargeSGX(1)
 	m.ChargeNormal(1)
-	m.Reset()
+	m.SnapshotAndReset()
 	m.AddTally(Tally{SGXU: 1})
 	if m.SGX() != 0 || m.Normal() != 0 || m.Cycles() != 0 {
 		t.Fatal("nil meter must read zero")
@@ -54,8 +55,10 @@ func TestMeterConcurrent(t *testing.T) {
 func TestMeterReset(t *testing.T) {
 	m := NewMeter()
 	m.ChargeSGX(5)
-	m.ChargeNormal(5)
-	m.Reset()
+	m.ChargeNormal(7)
+	if got := m.SnapshotAndReset(); got != (Tally{SGXU: 5, Normal: 7}) {
+		t.Fatalf("drained %v, want SGX(U)=5 normal=7", got)
+	}
 	if m.SGX() != 0 || m.Normal() != 0 {
 		t.Fatal("reset failed")
 	}
@@ -124,8 +127,8 @@ func TestTallyString(t *testing.T) {
 // TestSnapshotAndResetPartitionsExactly drives concurrent chargers
 // across repeated period boundaries and requires that the per-period
 // tallies plus the final drain sum to exactly what was charged — the
-// guarantee Snapshot-then-Reset cannot give (a charge landing between
-// the two calls is silently dropped).
+// guarantee a separate snapshot and zeroing could not give (a charge
+// landing between the two calls would be silently dropped).
 func TestSnapshotAndResetPartitionsExactly(t *testing.T) {
 	m := NewMeter()
 	const (
@@ -169,4 +172,24 @@ func TestSnapshotAndResetNilSafe(t *testing.T) {
 	if got := m.SnapshotAndReset(); got != (Tally{}) {
 		t.Fatalf("nil meter drained to %+v", got)
 	}
+}
+
+// TestSettleWaitsForRunningCode: a boundary reader that settles sees
+// the closing charge of a call whose reply it already has.
+func TestSettleWaitsForRunningCode(t *testing.T) {
+	m := NewMeter()
+	m.Enter()
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		m.ChargeSGX(1) // the call's closing EEXIT
+		m.Exit()
+	}()
+	m.Settle()
+	if m.SGX() != 1 {
+		t.Fatalf("settled before the running call's closing charge: SGX(U)=%d", m.SGX())
+	}
+	var nilMeter *Meter
+	nilMeter.Enter()
+	nilMeter.Exit()
+	nilMeter.Settle()
 }

@@ -15,8 +15,8 @@ import "sync/atomic"
 //
 // Probes must be safe for concurrent use. A nil probe (the default) is
 // free: every call site is a single atomic load and a branch, which is
-// what keeps the tracing-disabled benchmark budget (<2% on
-// BenchmarkFullSweep) honest.
+// what keeps the tracing-disabled overhead (bench/'s
+// obs.trace_overhead_pct) small.
 
 // Probe observes named occurrences: kind is a stable dotted name (e.g.
 // "sgx.instr.EENTER", "epc.ewb", "enclave.alloc"), n the occurrence

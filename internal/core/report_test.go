@@ -177,15 +177,15 @@ func TestNonceDataBindsNonce(t *testing.T) {
 
 func TestEReportChargesInstructions(t *testing.T) {
 	_, a, b := launchPair(t)
-	a.Meter().Reset()
+	a.Meter().SnapshotAndReset()
 	makeReport(t, a, b, nil)
 	// EENTER + EEXIT + EREPORT = 3 SGX(U).
 	if got := a.Meter().SGX(); got != 3 {
 		t.Fatalf("SGX(U) = %d, want 3", got)
 	}
-	b.Meter().Reset()
+	b.Meter().SnapshotAndReset()
 	r := makeReport(t, a, b, nil)
-	b.Meter().Reset()
+	b.Meter().SnapshotAndReset()
 	verifyReport(t, b, r)
 	// EENTER + EEXIT + EGETKEY = 3 SGX(U).
 	if got := b.Meter().SGX(); got != 3 {

@@ -31,13 +31,13 @@ func (r *Runner) Ablations() (*AblationSuite, error) {
 		var err error
 		switch i {
 		case 0:
-			s.Batch, err = ablationBatchSweep(r.trace, nil)
+			s.Batch, err = AblationBatchSweep(r.trace, nil)
 		case 1:
 			s.SMPC, err = AblationSMPC()
 		case 2:
 			s.DHT, err = AblationDHTLookups(nil)
 		case 3:
-			s.Mbox, err = ablationMiddleboxApproaches(r.trace)
+			s.Mbox, err = AblationMiddleboxApproaches(r.trace)
 		}
 		return struct{}{}, err
 	})
@@ -47,7 +47,8 @@ func (r *Runner) Ablations() (*AblationSuite, error) {
 	return s, nil
 }
 
-// RenderAblations prints the whole suite in its canonical order.
+// RenderAblations prints the whole suite in its canonical order, a blank
+// line between sub-blocks.
 func RenderAblations(w io.Writer, s *AblationSuite) {
 	RenderBatchSweep(w, s.Batch)
 	fmt.Fprintln(w)
@@ -56,7 +57,6 @@ func RenderAblations(w io.Writer, s *AblationSuite) {
 	RenderDHTSweep(w, s.DHT)
 	fmt.Fprintln(w)
 	RenderMboxApproaches(w, s.Mbox)
-	fmt.Fprintln(w)
 }
 
 // BatchSweepPoint is one batch size of the I/O amortization ablation.
@@ -68,18 +68,14 @@ type BatchSweepPoint struct {
 
 // AblationBatchSweep quantifies how per-packet cost falls with batch
 // size — the design lever behind the paper's "the cost can be amortized
-// with batched I/O".
-func AblationBatchSweep(batches []int) ([]BatchSweepPoint, error) {
-	return ablationBatchSweep(nil, batches)
-}
-
-func ablationBatchSweep(tr *obs.Trace, batches []int) ([]BatchSweepPoint, error) {
+// with batched I/O". Each batch size is a "send" span on the trace.
+func AblationBatchSweep(tr *obs.Trace, batches []int) ([]BatchSweepPoint, error) {
 	if len(batches) == 0 {
 		batches = []int{1, 2, 5, 10, 25, 50, 100}
 	}
 	var pts []BatchSweepPoint
 	for _, b := range batches {
-		t, err := MeasureSendTraced(tr, fmt.Sprintf("ablation/batch/n=%d", b), b, false)
+		t, err := MeasureSend(tr, fmt.Sprintf("ablation/batch/n=%d", b), b, false)
 		if err != nil {
 			return nil, err
 		}
@@ -220,12 +216,9 @@ type MboxApproachComparison struct {
 	Ratio             float64
 }
 
-// AblationMiddleboxApproaches measures both designs live.
-func AblationMiddleboxApproaches() (*MboxApproachComparison, error) {
-	return ablationMiddleboxApproaches(nil)
-}
-
-func ablationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error) {
+// AblationMiddleboxApproaches measures both designs live, recording the
+// SGX side's provisioning on the trace.
+func AblationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error) {
 	out := &MboxApproachComparison{}
 
 	// SGX side: one middlebox, meters reset right before provisioning.
@@ -233,9 +226,9 @@ func ablationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error)
 	if err != nil {
 		return nil, err
 	}
-	rig.Endpoint.Meter().Reset()
-	rig.Mboxes[0].Enclave().Meter().Reset()
-	if _, err := rig.ProvisionAllTraced(tr, "ablation/mbox"); err != nil {
+	rig.Endpoint.Meter().SnapshotAndReset()
+	rig.Mboxes[0].Enclave().Meter().SnapshotAndReset()
+	if _, err := rig.ProvisionAll(tr, "ablation/mbox"); err != nil {
 		return nil, err
 	}
 	out.SGXFirstContact = rig.Endpoint.Meter().Snapshot().Add(rig.Mboxes[0].Enclave().Meter().Snapshot())
@@ -247,12 +240,11 @@ func ablationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error)
 		return nil, err
 	}
 	ep := middlebox.NewMCTLSEndpoint("client")
-	m.Reset()
+	m.SnapshotAndReset()
 	if err := ep.Provision(m, box, rig.Session.ExportKeys()); err != nil {
 		return nil, err
 	}
-	out.MCTLSFirstContact = m.Snapshot()
-	m.Reset()
+	out.MCTLSFirstContact = m.SnapshotAndReset()
 	if err := ep.Provision(m, box, rig.Session.ExportKeys()); err != nil {
 		return nil, err
 	}

@@ -74,11 +74,6 @@ type ChainSweepPoint struct {
 	RuleShare  float64
 }
 
-// ChainSweep runs the full grid on the default pool.
-func ChainSweep() ([]ChainSweepPoint, error) {
-	return defaultRunner().ChainSweep()
-}
-
 // ChainSweep runs every grid point as an independent scenario on the
 // pool. Each point builds its own network, platform, stage enclaves,
 // and verifier, so the merged results are byte-identical at any worker

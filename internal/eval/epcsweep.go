@@ -98,11 +98,6 @@ func tenantProgram(i int) *core.Program {
 	}
 }
 
-// EPCSweep runs the full grid on the default pool.
-func EPCSweep() ([]EPCSweepPoint, error) {
-	return defaultRunner().EPCSweep()
-}
-
 // EPCSweep runs every grid point as an independent scenario on the
 // pool. Each point builds its own seeded platform, pager, and meters,
 // so the merged results are byte-identical at any worker count.
@@ -175,7 +170,7 @@ func epcSweepPoint(tr *obs.Trace, set *series.Set, tenants int, ratio float64, p
 	meters := make([]*core.Meter, tenants)
 	for i, e := range encs {
 		meters[i] = e.Meter()
-		meters[i].Reset() // launch cost is not part of the steady-state comparison
+		meters[i].SnapshotAndReset() // launch cost is not part of the steady-state comparison
 	}
 	if sm := set.Sampler(track); sm != nil {
 		// The cell has no event loop, so its virtual clock is the summed

@@ -64,29 +64,21 @@ func faultTolSchedule(seed int64, drop float64) *netsim.FaultSchedule {
 	})
 }
 
-// AblationFaultTolerance sweeps drop intensity against attestation
-// success rate and cycle overhead on the default (fully parallel)
-// runner. A nil intensities slice uses the default sweep (which starts
-// at 0, the overhead baseline); trials <= 0 defaults to 4 runs per
-// point. Schedules are seeded deterministically per (point, trial), so
-// the fault draws replay; only the wall-clock timeout behavior is
-// environment-dependent.
-func AblationFaultTolerance(intensities []float64, trials int) ([]FaultTolerancePoint, error) {
-	return defaultRunner().FaultTolerance(intensities, trials)
+// FaultTolerance sweeps drop intensity against attestation success rate
+// and cycle overhead: drops of 0 (the overhead baseline) to 20%, four
+// trials per point. Schedules are seeded deterministically per (point,
+// trial), so the fault draws replay; only the wall-clock timeout
+// behavior is environment-dependent.
+func (r *Runner) FaultTolerance() ([]FaultTolerancePoint, error) {
+	return r.faultTolerance([]float64{0, 0.02, 0.05, 0.10, 0.20}, 4)
 }
 
-// FaultTolerance runs the fault-tolerance sweep with each intensity as
-// an independent scenario on the pool. Every point owns a private rig
-// and network, and its schedules are seeded by (point, trial), so the
-// fault draws are unchanged by fan-out; the baseline-relative overhead
-// is computed after the in-order merge.
-func (r *Runner) FaultTolerance(intensities []float64, trials int) ([]FaultTolerancePoint, error) {
-	if intensities == nil {
-		intensities = []float64{0, 0.02, 0.05, 0.10, 0.20}
-	}
-	if trials <= 0 {
-		trials = 4
-	}
+// faultTolerance runs the sweep with each intensity as an independent
+// scenario on the pool. Every point owns a private rig and network, and
+// its schedules are seeded by (point, trial), so the fault draws are
+// unchanged by fan-out; the baseline-relative overhead is computed after
+// the in-order merge.
+func (r *Runner) faultTolerance(intensities []float64, trials int) ([]FaultTolerancePoint, error) {
 	pol := faultTolPolicy()
 	pts, err := mapOrdered(r, len(intensities), func(i int) (FaultTolerancePoint, error) {
 		return faultTolPoint(r.trace, i, intensities[i], trials, pol)
@@ -147,7 +139,7 @@ func faultTolPoint(tr *obs.Trace, i int, drop float64, trials int, pol attest.Re
 			fs.SetObserver(rec)
 		}
 		rig.net.SetFaults(fs)
-		rig.challenger.Meter().Reset()
+		rig.challenger.Meter().SnapshotAndReset()
 		dial := func() (*netsim.Conn, error) { return rig.hostC.Dial("target-host", "app") }
 		conn, cid, _, retries, err := attest.ChallengeRetryTrace(
 			tr, track, rig.challenger, rig.cShim, rig.cState, dial, true, pol)

@@ -19,7 +19,7 @@ import (
 // render mentions the metered overhead, and a lossy point never reports
 // a cheaper-than-clean average (timeouts and retries only add cycles).
 func TestAblationFaultTolerance(t *testing.T) {
-	pts, err := AblationFaultTolerance([]float64{0, 0.10}, 3)
+	pts, err := NewRunner(0).faultTolerance([]float64{0, 0.10}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSeededScheduleAcceptance(t *testing.T) {
 		out.From = "controller"
 		fs := netsim.NewFaultSchedule(13).AddLink(in).AddLink(out).
 			AddPartition(netsim.Partition{A: []string{"as1"}, B: []string{"controller"}, FromMessage: 5, UntilMessage: 15})
-		rep, err := sdnctl.RunSGXFaulted(tp, fs, pol)
+		rep, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{Faults: fs, Retry: pol})
 		if err != nil {
 			t.Fatalf("SDN run under faults (replay: %s): %v", fs, err)
 		}

@@ -71,7 +71,7 @@ func NewTorRig(seed int64, xc *xcall.Config) (*TorRig, error) {
 		r.meters = append(r.meters, o.Enclave().Meter())
 	}
 	for _, m := range r.meters {
-		m.Reset()
+		m.SnapshotAndReset()
 	}
 	return r, nil
 }
@@ -180,10 +180,10 @@ func NewTLSRig(name string, cfg TLSRigConfig) (*TLSRig, error) {
 		}
 		if anEnc != nil {
 			r.antago = &epcAntagonist{enc: anEnc, pager: r.pager, span: budget}
-			anEnc.Meter().Reset()
+			anEnc.Meter().SnapshotAndReset()
 		}
 	}
-	eng.Meter().Reset()
+	eng.Meter().SnapshotAndReset()
 	return r, nil
 }
 
@@ -317,7 +317,7 @@ func NewSDNRig() (*SDNRig, error) {
 		r.meters = append(r.meters, asl.Enclave.Meter())
 	}
 	for _, m := range r.meters {
-		m.Reset()
+		m.SnapshotAndReset()
 	}
 	return r, nil
 }
@@ -414,7 +414,7 @@ func newEnclaveAntagonist(name, kind string, calls int, entry string) (Rig, erro
 	if err != nil {
 		return nil, err
 	}
-	enc.Meter().Reset()
+	enc.Meter().SnapshotAndReset()
 	return &enclaveAntagonist{enc: enc, calls: calls, entry: entry}, nil
 }
 

@@ -126,15 +126,10 @@ func NewMboxRig(nMbox int) (*MboxRig, error) {
 }
 
 // ProvisionAll attests and provisions every middlebox, returning the
-// attestation count.
-func (r *MboxRig) ProvisionAll() (int, error) {
-	return r.ProvisionAllTraced(nil, "")
-}
-
-// ProvisionAllTraced is ProvisionAll with each middlebox's attest-and-
-// provision exchange recorded as a "mbox.provision" span (the endpoint
+// attestation count. With a trace, each middlebox's attest-and-provision
+// exchange is recorded as a "mbox.provision" span (the endpoint
 // enclave's tally delta) and an activation instant on the given track.
-func (r *MboxRig) ProvisionAllTraced(tr *obs.Trace, track string) (int, error) {
+func (r *MboxRig) ProvisionAll(tr *obs.Trace, track string) (int, error) {
 	n := 0
 	for _, mb := range r.Mboxes {
 		sp := tr.Begin(track, "mbox.provision", r.Endpoint.Meter())
@@ -180,5 +175,5 @@ func middleboxAttestations(tr *obs.Trace, track string, nMbox int) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	return rig.ProvisionAllTraced(tr, track)
+	return rig.ProvisionAll(tr, track)
 }

@@ -72,11 +72,6 @@ func (r *Runner) SetSeries(s *series.Set) { r.series = s }
 // Series returns the attached series set, or nil.
 func (r *Runner) Series() *series.Set { return r.series }
 
-// defaultRunner is the pool used by the package-level convenience
-// wrappers (Figure3, Table4, …): full parallelism, which by the
-// determinism argument above is always safe.
-func defaultRunner() *Runner { return NewRunner(0) }
-
 // mapOrdered runs fn(0..n-1) on the runner and returns the results in
 // input order. The first error wins (by index, not by completion time,
 // so the reported error is deterministic too); remaining slots are

@@ -81,11 +81,11 @@ func TestPairMatchesSerial(t *testing.T) {
 // files rest on, checked under -race in CI.
 func TestFigure3ParallelSerialEquivalence(t *testing.T) {
 	ns := []int{5, 10, 15}
-	serial, err := NewRunner(1).Figure3(ns)
+	serial, err := NewRunner(1).figure3(ns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewRunner(8).Figure3(ns)
+	par, err := NewRunner(8).figure3(ns)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 // single-threaded kernel run.
 //
 // Wall-clock throughput (events/sec) deliberately does not appear in
-// the rendered table — it would break the goldens; BenchmarkScaleSweep
-// reports it into BENCH_results.json instead.
+// the rendered table — it would break the goldens; the benchmark in
+// bench/ reports the kernel's rate as des.events_per_s instead.
 
 // scaleSweepSpecs is the canonical grid: the scaled Figure 3 AS axis
 // (the smallest cell carries a peering ring so the gossip stage is
@@ -52,11 +52,6 @@ type ScaleSweepPoint struct {
 	PerOpSGX    uint64 // modeled cycles per op, SGX build
 	Overhead    float64
 	MeanLat     uint64 // mean op completion latency, virtual cycles
-}
-
-// ScaleSweep runs the full grid on the default pool.
-func ScaleSweep() ([]ScaleSweepPoint, error) {
-	return defaultRunner().ScaleSweep()
 }
 
 // ScaleSweep runs every grid cell as an independent scenario on the

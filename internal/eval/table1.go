@@ -98,20 +98,16 @@ func newAttestRig() (*attestRig, error) {
 }
 
 // run performs one remote attestation and returns the per-role tallies.
-func (r *attestRig) run(wantDH bool) (target, quoting, challenger core.Tally, err error) {
-	return r.runTraced(nil, "", wantDH)
-}
-
-// runTraced is run with the three protocol roles recorded on their own
+// With a trace, the three protocol roles are recorded on their own
 // tracks (<base>/target, <base>/quoting, <base>/challenger). Each role's
 // track carries the protocol-round spans plus a run total equal to its
 // meter tally for the run, so the analyzer's attribution closes exactly:
 // every instruction a role charges, it charges inside Respond, the
 // quote-service call, or Challenge.
-func (r *attestRig) runTraced(tr *obs.Trace, trackBase string, wantDH bool) (target, quoting, challenger core.Tally, err error) {
-	r.target.Meter().Reset()
-	r.quoting.Meter().Reset()
-	r.challenger.Meter().Reset()
+func (r *attestRig) run(tr *obs.Trace, trackBase string, wantDH bool) (target, quoting, challenger core.Tally, err error) {
+	r.target.Meter().SnapshotAndReset()
+	r.quoting.Meter().SnapshotAndReset()
+	r.challenger.Meter().SnapshotAndReset()
 	if tr != nil {
 		r.agentT.SetTrace(tr, trackBase+"/quoting")
 	}
@@ -150,21 +146,16 @@ func (r *attestRig) runTraced(tr *obs.Trace, trackBase string, wantDH bool) (tar
 	return target, quoting, challenger, nil
 }
 
-// Table1 measures all six cells.
-func Table1() ([]Table1Row, error) {
-	return Table1Traced(nil)
-}
-
-// Table1Traced is Table1 with each (DH, role) run recorded on tracks
-// "table1/dh=<v>/<role>".
-func Table1Traced(tr *obs.Trace) ([]Table1Row, error) {
+// Table1 measures all six cells, each (DH, role) run recorded on tracks
+// "table1/dh=<v>/<role>" of the runner's trace.
+func (r *Runner) Table1() ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, dh := range []bool{false, true} {
 		rig, err := newAttestRig()
 		if err != nil {
 			return nil, err
 		}
-		tt, qt, ct, err := rig.runTraced(tr, fmt.Sprintf("table1/dh=%v", dh), dh)
+		tt, qt, ct, err := rig.run(r.trace, fmt.Sprintf("table1/dh=%v", dh), dh)
 		if err != nil {
 			return nil, err
 		}

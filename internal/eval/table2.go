@@ -73,16 +73,12 @@ func senderProgram() *core.Program {
 
 // MeasureSend runs one transmission and returns its tally (the EGETKEY
 // used for session-key derivation in the crypto path is excluded, as the
-// table isolates the transmission itself).
-func MeasureSend(count int, withCrypto bool) (core.Tally, error) {
-	return MeasureSendTraced(nil, "", count, withCrypto)
-}
-
-// MeasureSendTraced is MeasureSend with the measured enclave call
-// recorded as a "send" span on the given track. The track's run total is
-// the raw meter tally of the call — the table's −1 SGX(U) crypto
-// adjustment is a rendering convention, not a cost the enclave avoided.
-func MeasureSendTraced(tr *obs.Trace, track string, count int, withCrypto bool) (core.Tally, error) {
+// table isolates the transmission itself). With a trace, the measured
+// enclave call is recorded as a "send" span on the given track. The
+// track's run total is the raw meter tally of the call — the table's −1
+// SGX(U) crypto adjustment is a rendering convention, not a cost the
+// enclave avoided.
+func MeasureSend(tr *obs.Trace, track string, count int, withCrypto bool) (core.Tally, error) {
 	n := netsim.New()
 	src, err := n.AddHost("src", core.PlatformConfig{EPCFrames: 128})
 	if err != nil {
@@ -130,7 +126,7 @@ func MeasureSendTraced(tr *obs.Trace, track string, count int, withCrypto bool) 
 	}
 	id := shim.Adopt(conn)
 
-	enc.Meter().Reset()
+	enc.Meter().SnapshotAndReset()
 	arg := make([]byte, 9)
 	binary.LittleEndian.PutUint32(arg[:4], uint32(count))
 	if withCrypto {
@@ -154,21 +150,16 @@ func MeasureSendTraced(tr *obs.Trace, track string, count int, withCrypto bool) 
 	return tally, nil
 }
 
-// Table2 measures all four configurations.
-func Table2() ([]Table2Row, error) {
-	return Table2Traced(nil)
-}
-
-// Table2Traced is Table2 with each configuration recorded on a
-// "table2/n=<packets>/crypto=<v>" track.
-func Table2Traced(tr *obs.Trace) ([]Table2Row, error) {
+// Table2 measures all four configurations, each recorded on a
+// "table2/n=<packets>/crypto=<v>" track of the runner's trace.
+func (r *Runner) Table2() ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, cfg := range []struct {
 		n      int
 		crypto bool
 	}{{1, false}, {1, true}, {100, false}, {100, true}} {
 		track := fmt.Sprintf("table2/n=%d/crypto=%v", cfg.n, cfg.crypto)
-		t, err := MeasureSendTraced(tr, track, cfg.n, cfg.crypto)
+		t, err := MeasureSend(r.trace, track, cfg.n, cfg.crypto)
 		if err != nil {
 			return nil, err
 		}

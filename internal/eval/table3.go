@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"sgxnet/internal/obs"
 	"sgxnet/internal/topo"
 	"sgxnet/internal/tor"
 
@@ -24,15 +23,12 @@ type Table3Row struct {
 	Measured int
 }
 
-// Table3 runs each design and counts attestations.
-func Table3() ([]Table3Row, error) {
-	return Table3Traced(nil)
-}
-
-// Table3Traced is Table3 with the SDN run on track "table3/sdn", the
-// authority's exit re-scan on "table3/tor-authority", and middlebox
-// provisioning on "table3/middlebox".
-func Table3Traced(tr *obs.Trace) ([]Table3Row, error) {
+// Table3 runs each design and counts attestations. On the runner's
+// trace, the SDN run lands on track "table3/sdn", the authority's exit
+// re-scan on "table3/tor-authority", and middlebox provisioning on
+// "table3/middlebox".
+func (r *Runner) Table3() ([]Table3Row, error) {
+	tr := r.trace
 	var rows []Table3Row
 
 	// Inter-domain routing: one attestation per AS controller.
@@ -40,7 +36,7 @@ func Table3Traced(tr *obs.Trace) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sdnctl.RunSGXTraced(tp, tr, "table3/sdn")
+	rep, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{Trace: tr, Track: "table3/sdn"})
 	if err != nil {
 		return nil, err
 	}

@@ -24,13 +24,8 @@ type Table4Result struct {
 }
 
 // Table4 runs the 30-AS workload through both deployments.
-func Table4() (*Table4Result, error) {
-	return defaultRunner().Table4At(30)
-}
-
-// Table4At runs the workload at a chosen AS count, serially.
-func Table4At(n int) (*Table4Result, error) {
-	return NewRunner(1).Table4At(n)
+func (r *Runner) Table4() (*Table4Result, error) {
+	return r.Table4At(30)
 }
 
 // Table4At runs the workload at a chosen AS count, with the native and
@@ -51,10 +46,10 @@ func (r *Runner) table4At(n int, trackBase string) (*Table4Result, error) {
 	}
 	native, sgx, err := pair(r,
 		func() (*sdnctl.RunReport, error) {
-			return sdnctl.RunNativeTraced(tp, r.trace, trackBase+"/native")
+			return sdnctl.RunNative(tp, r.trace, trackBase+"/native")
 		},
 		func() (*sdnctl.RunReport, error) {
-			return sdnctl.RunSGXTraced(tp, r.trace, trackBase+"/sgx")
+			return sdnctl.RunSGX(tp, sdnctl.SGXConfig{Trace: r.trace, Track: trackBase + "/sgx"})
 		},
 	)
 	if err != nil {
@@ -91,18 +86,15 @@ type Figure3Point struct {
 	SGXCycles    uint64
 }
 
-// Figure3 sweeps the AS count on the default (fully parallel) runner.
-func Figure3(ns []int) ([]Figure3Point, error) {
-	return defaultRunner().Figure3(ns)
+// Figure3 sweeps the paper's x-axis, 5 to 50 ASes.
+func (r *Runner) Figure3() ([]Figure3Point, error) {
+	return r.figure3([]int{5, 10, 15, 20, 25, 30, 35, 40, 45, 50})
 }
 
-// Figure3 sweeps the AS count and reports the inter-domain controller's
-// cycle consumption for both deployments. Points fan out across the
-// pool and merge back in input order.
-func (r *Runner) Figure3(ns []int) ([]Figure3Point, error) {
-	if len(ns) == 0 {
-		ns = []int{5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
-	}
+// figure3 sweeps the given AS counts and reports the inter-domain
+// controller's cycle consumption for both deployments. Points fan out
+// across the pool and merge back in input order.
+func (r *Runner) figure3(ns []int) ([]Figure3Point, error) {
 	return mapOrdered(r, len(ns), func(i int) (Figure3Point, error) {
 		res, err := r.table4At(ns[i], fmt.Sprintf("fig3/n=%d", ns[i]))
 		if err != nil {

@@ -38,7 +38,7 @@ func traceRun(t *testing.T, workers int) []byte {
 	if _, err := r.Table4At(30); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Figure3([]int{10}); err != nil {
+	if _, err := r.figure3([]int{10}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := epcSweepPoint(tr, nil, 2, 2.0, "clock"); err != nil {
@@ -138,12 +138,14 @@ func TestTraceAttribution(t *testing.T) {
 // perturbs the measured tallies — probes and spans observe, they do
 // not charge.
 func TestTable1TracedMatchesUntraced(t *testing.T) {
-	plain, err := Table1()
+	plain, err := NewRunner(0).Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.New(obs.NewRegistry())
-	traced, err := Table1Traced(tr)
+	r := NewRunner(0)
+	r.SetTrace(tr)
+	traced, err := r.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 //	tls    — record sealing/opening in an enclave-hosted codec
 //	         (tlslite.RecordEngine)
 //	quote  — the quoting enclave serving remote attestations
-//	         (sdnctl.RunSGXSwitchlessQuotes)
+//	         (sdnctl.SGXConfig.Xcall)
 //
 // The metric is crossing cycles: SGX(U) instructions × the 10k-cycle
 // SGX instruction price. Batch 1 shows there is no free lunch (every
@@ -74,11 +74,6 @@ type XcallSweepPoint struct {
 	// Speedup is the synchronous baseline's CrossCycles over this
 	// point's, per application (1.00 for the baseline itself).
 	Speedup float64
-}
-
-// XcallSweep runs the full grid on the default pool.
-func XcallSweep() ([]XcallSweepPoint, error) {
-	return defaultRunner().XcallSweep()
 }
 
 // XcallSweep runs every grid point as an independent scenario on the
@@ -219,7 +214,7 @@ func xcallTorRig(tr *obs.Trace, track string, xc *xcall.Config, mc *meterClock, 
 	defer circ.Close()
 	meters := make([]*core.Meter, 0, len(tn.ORs))
 	for _, o := range tn.ORs {
-		o.Enclave().Meter().Reset()
+		o.Enclave().Meter().SnapshotAndReset()
 		meters = append(meters, o.Enclave().Meter())
 	}
 	mc.bind(meters...)
@@ -239,6 +234,7 @@ func xcallTorRig(tr *obs.Trace, track string, xc *xcall.Config, mc *meterClock, 
 	sp.End()
 	pt.Ops = xcallTorGets
 	for _, m := range meters {
+		m.Settle()
 		pt.SGX = pt.SGX.Add(m.Snapshot())
 	}
 	pt.Stats = tn.XcallStats()
@@ -268,7 +264,7 @@ func xcallTLSRig(tr *obs.Trace, track string, xc *xcall.Config, mc *meterClock, 
 	if err != nil {
 		return err
 	}
-	eng.Meter().Reset()
+	eng.Meter().SnapshotAndReset()
 	mc.bind(eng.Meter())
 	sp := tr.Begin(track, "xcall.records", eng.Meter())
 	for seq := uint64(0); seq < xcallTLSRecords; seq++ {
@@ -297,12 +293,7 @@ func xcallQuoteRig(tr *obs.Trace, track string, xc *xcall.Config, pt *XcallSweep
 	if err != nil {
 		return err
 	}
-	var rep *sdnctl.RunReport
-	if xc == nil {
-		rep, err = sdnctl.RunSGX(tp)
-	} else {
-		rep, err = sdnctl.RunSGXSwitchlessQuotes(tp, *xc)
-	}
+	rep, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{Xcall: xc})
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 // reported, while batch 1 buys little (every drain still pays an
 // amortized crossing).
 func TestXcallSweepShape(t *testing.T) {
-	pts, err := XcallSweep()
+	pts, err := NewRunner(0).XcallSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,6 +52,9 @@ func TestProvisionWrongLengthChargesNothing(t *testing.T) {
 	copy(msg[1:], party)
 	copy(msg[1+len(party):], forged)
 
+	// The middlebox charges its attestation's closing top-up and EEXIT
+	// after the challenger has its ack: settle so they land before pre.
+	mb.enclave.Meter().Settle()
 	pre := mb.enclave.Meter().Snapshot()
 	if err := conn.Send(msg); err != nil {
 		t.Fatal(err)

@@ -65,12 +65,12 @@ func TestMCTLSFirstContactCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := NewMCTLSEndpoint("client")
-	m.Reset()
+	m.SnapshotAndReset()
 	if err := ep.Provision(m, box, testKeys(1)); err != nil {
 		t.Fatal(err)
 	}
 	first := m.Normal()
-	m.Reset()
+	m.SnapshotAndReset()
 	if err := ep.Provision(m, box, testKeys(50)); err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,9 @@ func (s *IOShim) recv(arg []byte) ([]byte, error) {
 	}
 	s.meter.ChargeNormal(core.CostIOCallFixed + core.CostIOPerPacket)
 	s.meter.ChargeSGX(s.boundarySGX)
+	s.meter.Exit() // parked on input: a Settle must not wait for the peer
 	p, err := c.RecvTimeout(time.Duration(s.recvTimeout.Load()))
+	s.meter.Enter()
 	if errors.Is(err, ErrTimeout) {
 		s.meter.ChargeNormal(core.CostRecvTimeout)
 	}

@@ -77,7 +77,7 @@ func TestBatchedModeAmortizesFixedCost(t *testing.T) {
 
 	// Disabling restores per-call accounting, boundary SGX included.
 	shim.SetBatched(1)
-	meter.Reset()
+	meter.SnapshotAndReset()
 	if _, err := shim.OCall("net.send", EncodeSend(id, []byte("pkt"))); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func ringShimEnclave(t *testing.T, n *Network, cfg xcall.Config, count int) (*co
 	}
 	id := shim.Adopt(conn)
 	shim.SetBatched(cfg.WithDefaults().Batch)
-	enc.Meter().Reset()
+	enc.Meter().SnapshotAndReset()
 	return enc, ring, shim, id, received
 }
 

@@ -107,7 +107,7 @@ func runSend(t *testing.T, count int, withCrypto bool) core.Tally {
 	}
 	id := shim.Adopt(conn)
 
-	enc.Meter().Reset()
+	enc.Meter().SnapshotAndReset()
 	arg := []byte{byte(count), 0, byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24)}
 	if withCrypto {
 		arg[1] = 1

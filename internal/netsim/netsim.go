@@ -376,6 +376,11 @@ func (c *Conn) Close() {
 	c.once.Do(func() { close(c.closed) })
 }
 
+// Key identifies the connection: its two ends return the same key and
+// no other connection's ends do. In-process peers can rendezvous on it
+// without putting a message on the wire.
+func (c *Conn) Key() any { return c.once }
+
 // LocalHost and RemoteHost name the endpoints.
 func (c *Conn) LocalHost() string  { return c.local }
 func (c *Conn) RemoteHost() string { return c.remote }

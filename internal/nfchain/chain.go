@@ -477,7 +477,7 @@ func (c *Chain) Tally() core.Tally {
 // so the measured phase starts clean).
 func (c *Chain) ResetMeters() {
 	for _, h := range c.hops {
-		h.enc.Meter().Reset()
+		h.enc.Meter().SnapshotAndReset()
 	}
 }
 

@@ -130,13 +130,17 @@ type Span struct {
 	ended  bool
 }
 
-// Begin opens a span on the named track, snapshotting the given meters.
-// The span's delta at End is the summed growth of those meters; with no
-// meters the span is an aggregate whose delta is the sum of its direct
-// children's deltas.
+// Begin opens a span on the named track, snapshotting the given meters
+// once they settle (core.Meter.Settle), as End does too: a span is a
+// phase boundary. The span's delta at End is the summed growth of those
+// meters; with no meters the span is an aggregate whose delta is the
+// sum of its direct children's deltas.
 func (t *Trace) Begin(trackName, name string, meters ...*core.Meter) *Span {
 	if t == nil {
 		return nil
+	}
+	for _, m := range meters {
+		m.Settle()
 	}
 	tk := t.track(trackName)
 	tk.mu.Lock()
@@ -157,6 +161,9 @@ func (t *Trace) Begin(trackName, name string, meters ...*core.Meter) *Span {
 func (s *Span) End() {
 	if s == nil {
 		return
+	}
+	for _, m := range s.meters {
+		m.Settle()
 	}
 	tk := s.tk
 	tk.mu.Lock()

@@ -103,7 +103,7 @@ func TestMintAndAdmit(t *testing.T) {
 		t.Fatalf("cold admit charged %d, want %d", got, coldCost())
 	}
 
-	m.Reset()
+	m.SnapshotAndReset()
 	if _, err := v.Admit(m, raw, "relay-a"); err != nil {
 		t.Fatalf("warm admit: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestRevocationEpoch(t *testing.T) {
 		t.Fatalf("revoked build admitted from cache (err=%v)", err)
 	}
 	v.SetPolicy(r.whitelist())
-	m.Reset()
+	m.SnapshotAndReset()
 	if _, err := v.Admit(m, raw, "relay"); err != nil {
 		t.Fatalf("re-admission after restore failed: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestGateProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate.Meter().Reset()
+	gate.Meter().SnapshotAndReset()
 	out, err := gate.Call(GateService, EncodeAdmit("relay", raw))
 	if err != nil {
 		t.Fatalf("gated cold admit: %v", err)

@@ -70,7 +70,7 @@ func TestDynamicLinkFailure(t *testing.T) {
 	}
 	wantRIBs, _ := bgp.ComputeAll(reduced)
 
-	_, err := RunSGXWithPredicates(tp, func(ctl *Controller, locals []*ASLocal) error {
+	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
 		pols := PoliciesFromTopology(tp)
 		// The link fails: both sides reconfigure and re-upload.
 		if err := locals[a].Reconfigure(dropNeighbor(pols[a], b)); err != nil {
@@ -104,7 +104,7 @@ func TestDynamicLinkFailure(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestDynamicLinkFailure(t *testing.T) {
 // that would let the operator impersonate another AS.
 func TestReconfigRejectsASNChange(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGXWithPredicates(tp, func(_ *Controller, locals []*ASLocal) error {
+	_, err := RunSGX(tp, SGXConfig{After: func(_ *Controller, locals []*ASLocal) error {
 		bad := &PolicyMsg{ASN: 2}
 		if err := locals[1].Reconfigure(bad); err == nil {
 			t.Fatal("ASN change accepted by the enclave")
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func waitBound(t *testing.T, ctl *Controller, want int) {
 func TestRunSGXFaultedConvergesUnderFaults(t *testing.T) {
 	tp := canonicalTopo(t, 5)
 	fs := ctlFaults(7, 0.05)
-	rep, err := RunSGXFaulted(tp, fs, faultPolicy())
+	rep, err := RunSGX(tp, SGXConfig{Faults: fs, Retry: faultPolicy()})
 	if err != nil {
 		t.Fatalf("faulted run (replay: %s): %v", fs, err)
 	}
@@ -77,7 +77,7 @@ func TestRunSGXFaultedConvergesUnderFaults(t *testing.T) {
 
 func TestReattestAfterChannelLoss(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGXWithPredicates(tp, func(ctl *Controller, locals []*ASLocal) error {
+	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
 		locals[0].SetRetryPolicy(faultPolicy())
 		// Kill the attested channel under the AS; the next operation must
 		// re-attest the controller and then succeed transparently.
@@ -101,7 +101,7 @@ func TestReattestAfterChannelLoss(t *testing.T) {
 			t.Fatalf("BoundASes = %d after re-attest, want 4", ctl.State.BoundASes())
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReattestAfterChannelLoss(t *testing.T) {
 func TestDegradedRouteServingOnASLoss(t *testing.T) {
 	tp := canonicalTopo(t, 4)
 	pol := faultPolicy()
-	_, err := RunSGXWithPredicates(tp, func(ctl *Controller, locals []*ASLocal) error {
+	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
 		net := locals[0].Host.Network()
 
 		// An AS host crashes: its channel dies, the controller releases the
@@ -149,7 +149,7 @@ func TestDegradedRouteServingOnASLoss(t *testing.T) {
 			t.Fatal("degraded flag stuck after full recovery")
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestQuickFaultedEquivalence(t *testing.T) {
 	oracle, _ := bgp.SimulateDistributed(tp, 99)
 	prop := func(schedSeed int64) bool {
 		fs := ctlFaults(schedSeed, 0.04)
-		rep, err := RunSGXFaulted(tp, fs, faultPolicy())
+		rep, err := RunSGX(tp, SGXConfig{Faults: fs, Retry: faultPolicy()})
 		if err != nil {
 			t.Logf("seed %d (replay: %s): %v", schedSeed, fs, err)
 			return false

@@ -1,11 +1,9 @@
 package sdnctl
 
 import (
-	"sgxnet/internal/attest"
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/ratls"
-	"sgxnet/internal/topo"
 )
 
 // Attested controller↔AS channels (DESIGN.md §15). The RA-TLS variant
@@ -40,19 +38,6 @@ func LaunchControllerRATLS(host *netsim.SimHost, signer *core.Signer, n int) (*C
 	return launchController(host, signer, st, ControllerProgramRATLS(st))
 }
 
-// ratlsConfig switches runSGX to certificate admission.
-type ratlsConfig struct {
-	// Shards sizes the shared verification cache (default 4).
-	Shards int
-}
-
-func (c *ratlsConfig) shards() int {
-	if c.Shards < 1 {
-		return 4
-	}
-	return c.Shards
-}
-
 // certInvalidator adapts an AS-local controller's re-establishment hook
 // to the verification cache: when the attested channel dies, the cached
 // verdict for the controller's certificate dies with it, so the fresh
@@ -63,18 +48,3 @@ type certInvalidator struct {
 }
 
 func (ci certInvalidator) InvalidatePeer(uint32) { ci.v.Invalidate(ci.digest) }
-
-// RunSGXRATLS is RunSGX with attested controller↔AS channels: the
-// controller's RA-TLS certificate gates every connection, verified once
-// cold and amortized across the remaining ASes by the shared cache. The
-// report's RATLSCold/RATLSWarm carry the split.
-func RunSGXRATLS(t *topo.Topology, shards int) (*RunReport, error) {
-	return runSGX(t, nil, nil, nil, nil, "", nil, &ratlsConfig{Shards: shards})
-}
-
-// RunSGXRATLSFaulted is RunSGXRATLS under a fault schedule with the
-// retry policy armed — lost channels re-attest, and each
-// re-establishment purges the certificate's cached verdict first.
-func RunSGXRATLSFaulted(t *topo.Topology, fs *netsim.FaultSchedule, pol attest.RetryPolicy, shards int) (*RunReport, error) {
-	return runSGX(t, fs, &pol, nil, nil, "", nil, &ratlsConfig{Shards: shards})
-}

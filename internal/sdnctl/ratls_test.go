@@ -12,7 +12,7 @@ import (
 // shared cache.
 func TestRunSGXRATLSAmortizes(t *testing.T) {
 	tp := canonicalTopo(t, 6)
-	rep, err := RunSGXRATLS(tp, 4)
+	rep, err := RunSGX(tp, SGXConfig{RATLSShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRunSGXRATLSPlainRunUnaffected(t *testing.T) {
 	if ControllerMeasurementRATLS(4) == ControllerMeasurement(4) {
 		t.Fatal("RATLS handlers do not show in the controller measurement")
 	}
-	rep, err := RunSGX(canonicalTopo(t, 4))
+	rep, err := RunSGX(canonicalTopo(t, 4), SGXConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func (r *recordingInvalidator) InvalidatePeer(cid uint32) { r.calls = append(r.c
 // caches keyed to the old attestation cannot satisfy the new one.
 func TestReattestInvalidatesCachedVerdicts(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGXWithPredicates(tp, func(ctl *Controller, locals []*ASLocal) error {
+	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
 		rec := &recordingInvalidator{}
 		locals[0].SetRetryPolicy(faultPolicy())
 		locals[0].SetInvalidator(rec)
@@ -80,7 +80,7 @@ func TestReattestInvalidatesCachedVerdicts(t *testing.T) {
 			t.Fatalf("invalidator calls %v, want exactly one for conn %d", rec.calls, oldConn)
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

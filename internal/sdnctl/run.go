@@ -47,16 +47,16 @@ type RunReport struct {
 	// the attestation phase — quote serving only, launch excluded. It is
 	// the crossing-cost metric the xcall ablation compares: every quote
 	// costs 17 SGX(U) synchronously (Table 1), fewer when the serve
-	// ECALLs and message OCALLs ride rings (RunSGXSwitchlessQuotes).
+	// ECALLs and message OCALLs ride rings (SGXConfig.Xcall).
 	QuoteServing core.Tally
 	// QuoteXcall is the quoting agent's ring tally when quote serving
 	// runs switchlessly; zero otherwise.
 	QuoteXcall xcall.Stats
 
 	// RATLSCold and RATLSWarm split controller-certificate verifications
-	// when admission runs over attested channels (RunSGXRATLS): one cold
-	// full verification, warm cache hits for every other AS. Zero when
-	// the run does not use RA-TLS.
+	// when admission runs over attested channels (SGXConfig.RATLSShards):
+	// one cold full verification, warm cache hits for every other AS.
+	// Zero when the run does not use RA-TLS.
 	RATLSCold, RATLSWarm uint64
 }
 
@@ -72,68 +72,55 @@ func (r *RunReport) ASLocalAvg() core.Tally {
 	return core.Tally{SGXU: sum.SGXU / uint64(len(r.ASLocal)), Normal: sum.Normal / uint64(len(r.ASLocal))}
 }
 
+// SGXConfig selects the variations of an SGX deployment run. The zero
+// value is the plain run behind Table 4.
+type SGXConfig struct {
+	// Faults, when set, is installed before the attestation phase, so it
+	// disturbs the whole run, and every controller is armed with Retry:
+	// attestations retry with backoff, receives time out, and lost
+	// channels are re-attested.
+	Faults *netsim.FaultSchedule
+	Retry  attest.RetryPolicy
+
+	// Trace, when set, records spans on Track: a "setup" span for
+	// everything before the steady-state boundary (drained with
+	// Meter.SnapshotAndReset so setup and steady tallies partition
+	// exactly), then "phase.upload" / "phase.compute" / "phase.fetch"
+	// spans over the controller and AS-local meters, and a "run.total"
+	// record carrying the tallies the report publishes. The quoting
+	// enclave on the controller host gets its own "<Track>/qe" track.
+	// The track must be private to this run.
+	Trace *obs.Trace
+	Track string
+
+	// Xcall, when set, makes the controller host's quoting enclave serve
+	// switchlessly: serve ECALLs and the QE's message OCALLs ride xcall
+	// rings sized by it, and the message shim charges in batched
+	// windows. The report's QuoteServing/QuoteXcall fields carry the
+	// amortized crossing tally the -xcall-sweep ablation compares
+	// against the synchronous 17-SGX(U)-per-quote baseline.
+	Xcall *xcall.Config
+
+	// RATLSShards, when positive, gates every controller↔AS connection
+	// by the controller's RA-TLS certificate, verified once cold and
+	// amortized across the remaining ASes by a shared cache of that many
+	// shards. The report's RATLSCold/RATLSWarm carry the split; under
+	// Faults, each re-establishment purges the cached verdict first.
+	RATLSShards int
+
+	// After, when set, receives the live controller and AS-local
+	// controllers once routes are installed and the Table 4 measurement
+	// window has closed — for predicate registration/verification
+	// (§3.1) or dynamic reconfiguration.
+	After func(ctl *Controller, locals []*ASLocal) error
+}
+
 // RunSGX deploys the SGX-enabled design on the given topology: one
 // controller host plus one host per AS, all SGX platforms with quoting
 // enclaves; every AS-local controller remote-attests the inter-domain
 // controller (with DH) before uploading its policy.
-func RunSGX(t *topo.Topology) (*RunReport, error) {
-	return RunSGXWithPredicates(t, nil)
-}
-
-// RunSGXWithPredicates runs the SGX deployment and, after routes are
-// installed (and after the Table 4 measurement window closes), hands the
-// live controller and AS-local controllers to extra — for predicate
-// registration/verification (§3.1) or dynamic reconfiguration.
-func RunSGXWithPredicates(t *topo.Topology, extra func(ctl *Controller, locals []*ASLocal) error) (*RunReport, error) {
-	return runSGX(t, nil, nil, extra, nil, "", nil, nil)
-}
-
-// RunSGXTraced is RunSGX with spans on the given track: a "setup" span
-// for everything before the steady-state boundary (drained with
-// Meter.SnapshotAndReset so setup and steady tallies partition exactly),
-// then "phase.upload" / "phase.compute" / "phase.fetch" spans over the
-// controller and AS-local meters, and a "run.total" record carrying the
-// tallies the report publishes. The quoting enclave on the controller
-// host gets its own "<track>/qe" track. The track must be private to
-// this run.
-func RunSGXTraced(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error) {
-	return runSGX(t, nil, nil, nil, tr, track, nil, nil)
-}
-
-// RunSGXSwitchlessQuotes is RunSGX with the controller host's quoting
-// enclave serving switchlessly: serve ECALLs and the QE's message
-// OCALLs ride xcall rings sized by xc, and the message shim charges in
-// batched windows. The report's QuoteServing/QuoteXcall fields carry
-// the amortized crossing tally the -xcall-sweep ablation compares
-// against the synchronous 17-SGX(U)-per-quote baseline.
-func RunSGXSwitchlessQuotes(t *topo.Topology, xc xcall.Config) (*RunReport, error) {
-	return runSGX(t, nil, nil, nil, nil, "", &xc, nil)
-}
-
-// RunSGXFaulted runs the SGX deployment under a fault schedule with every
-// controller armed by the retry policy: attestations retry with backoff,
-// receives time out, and lost channels are re-attested. The schedule is
-// installed before the attestation phase, so it disturbs the entire run.
-func RunSGXFaulted(t *topo.Topology, fs *netsim.FaultSchedule, pol attest.RetryPolicy) (*RunReport, error) {
-	return runSGX(t, fs, &pol, nil, nil, "", nil, nil)
-}
-
-// RunSGXFaultedTraced is RunSGXFaulted with tracing: in addition to the
-// phase spans, the fault schedule's replay recipe is recorded as a
-// "fault.schedule" event and every engine intervention as a
-// "fault.<kind>" event on "<track>/faults", so the trace of a failing
-// run alone reproduces it (the recipe rebuilds the decision streams,
-// the ticks pin each intervention to the message clock).
-func RunSGXFaultedTraced(t *topo.Topology, fs *netsim.FaultSchedule, pol attest.RetryPolicy, tr *obs.Trace, track string) (*RunReport, error) {
-	if tr != nil && fs != nil {
-		rec := &obs.FaultRecorder{T: tr, Track: track + "/faults"}
-		rec.RecordSchedule(fs.Seed(), fs.String())
-		fs.SetObserver(rec)
-	}
-	return runSGX(t, fs, &pol, nil, tr, track, nil, nil)
-}
-
-func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy, extra func(ctl *Controller, locals []*ASLocal) error, tr *obs.Trace, track string, xc *xcall.Config, ra *ratlsConfig) (*RunReport, error) {
+func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
+	tr, track := cfg.Trace, cfg.Track
 	n := t.N()
 	net := netsim.New()
 	arch, err := core.NewSigner()
@@ -160,18 +147,18 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		// quoting enclave serves one request at a time — safe on one track.
 		agent.SetTrace(tr, track+"/qe")
 	}
-	if xc != nil {
-		agent.SetXcall(*xc)
+	if cfg.Xcall != nil {
+		agent.SetXcall(*cfg.Xcall)
 	}
 	// QuoteServing measures serving only: drain whatever quoting-enclave
 	// launch charged before any requester connects.
-	agent.QE.Meter().Reset()
+	agent.QE.Meter().SnapshotAndReset()
 	signer, err := core.NewSigner()
 	if err != nil {
 		return nil, err
 	}
 	launch, ctlMR := LaunchController, ControllerMeasurement(n)
-	if ra != nil {
+	if cfg.RATLSShards > 0 {
 		launch, ctlMR = LaunchControllerRATLS, ControllerMeasurementRATLS(n)
 	}
 	ctl, err := launch(ctlHost, signer, n)
@@ -185,7 +172,7 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 	// amortization the report's RATLSCold/RATLSWarm split shows.
 	var raCert []byte
 	var raVerifier *ratls.Verifier
-	if ra != nil {
+	if cfg.RATLSShards > 0 {
 		mt, err := ratls.NewMinter(ctlHost.Platform(), arch)
 		if err != nil {
 			return nil, err
@@ -197,7 +184,7 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		raVerifier = ratls.NewVerifier(attest.Policy{
 			AllowedEnclaves: []core.Measurement{ctlMR},
 			RejectDebug:     true,
-		}, ra.shards())
+		}, cfg.RATLSShards)
 	}
 	policies := PoliciesFromTopology(t)
 	locals := make([]*ASLocal, n)
@@ -217,14 +204,12 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 	// Arm the deployment and install the disturbance plan before any
 	// protocol traffic, so the whole run — attestation included — is
 	// exposed to it.
-	if pol != nil {
-		ctl.SetRecvTimeout(pol.RecvTimeout)
+	if cfg.Faults != nil {
+		ctl.SetRecvTimeout(cfg.Retry.RecvTimeout)
 		for _, asl := range locals {
-			asl.SetRetryPolicy(*pol)
+			asl.SetRetryPolicy(cfg.Retry)
 		}
-	}
-	if fs != nil {
-		net.SetFaults(fs)
+		net.SetFaults(cfg.Faults)
 	}
 
 	// Attestation phase (one remote attestation per AS controller). In
@@ -259,9 +244,9 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 	quoteXcall := agent.XcallStats()
 
 	// Steady state begins here: drain every meter so launch/attestation
-	// costs are excluded, as in Table 4. SnapshotAndReset (not
-	// Snapshot+Reset) guarantees setup and steady tallies partition the
-	// meters' lifetime consumption exactly, which is what lets the trace
+	// costs are excluded, as in Table 4. SnapshotAndReset guarantees
+	// setup and steady tallies partition the meters' lifetime
+	// consumption exactly, which is what lets the trace
 	// attribute the whole run; the drained tallies become the "setup"
 	// span.
 	var setup core.Tally
@@ -298,6 +283,12 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		}
 	}
 	sp.End()
+	// The controller replies from inside its calls: let their closing
+	// charges land before the tallies are read (the span settles only
+	// when tracing).
+	for _, m := range meters {
+		m.Settle()
+	}
 
 	rep := &RunReport{
 		N:            n,
@@ -327,27 +318,22 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		}
 		tr.Total(track, "run.total", total)
 	}
-	if fs != nil {
-		rep.FaultStats = fs.Stats()
+	if cfg.Faults != nil {
+		rep.FaultStats = cfg.Faults.Stats()
 	}
-	if extra != nil {
-		if err := extra(ctl, locals); err != nil {
+	if cfg.After != nil {
+		if err := cfg.After(ctl, locals); err != nil {
 			return nil, err
 		}
 	}
 	return rep, nil
 }
 
-// RunNative deploys the baseline on the same workload.
-func RunNative(t *topo.Topology) (*RunReport, error) {
-	return RunNativeTraced(t, nil, "")
-}
-
-// RunNativeTraced is RunNative with the same span structure as
-// RunSGXTraced (setup drain, three phase spans over the reported host
-// meters, run.total record) so native and SGX legs compare phase by
-// phase in sgxnet-trace.
-func RunNativeTraced(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error) {
+// RunNative deploys the baseline on the same workload. A non-nil trace
+// gets the same span structure as SGXConfig.Trace (setup drain, three
+// phase spans over the reported host meters, run.total record) on
+// track, so native and SGX legs compare phase by phase in sgxnet-trace.
+func RunNative(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error) {
 	n := t.N()
 	net := netsim.New()
 	ctlHost, err := net.AddHost("controller", core.PlatformConfig{EPCFrames: 64})

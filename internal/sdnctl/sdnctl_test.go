@@ -83,7 +83,7 @@ func TestBuildTopologyRejectsInconsistentClaims(t *testing.T) {
 
 func TestNativeDeploymentComputesCorrectRoutes(t *testing.T) {
 	tp := canonicalTopo(t, 10)
-	rep, err := RunNative(tp)
+	rep, err := RunNative(tp, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestNativeDeploymentComputesCorrectRoutes(t *testing.T) {
 
 func TestSGXDeploymentEndToEnd(t *testing.T) {
 	tp := canonicalTopo(t, 8)
-	rep, err := RunSGX(tp)
+	rep, err := RunSGX(tp, SGXConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestTable4(t *testing.T) {
 		t.Skip("30-AS deployment is slow in -short mode")
 	}
 	tp := canonicalTopo(t, 30)
-	native, err := RunNative(tp)
+	native, err := RunNative(tp, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgx, err := RunSGX(tp)
+	sgx, err := RunSGX(tp, SGXConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTable4(t *testing.T) {
 func TestPredicateVerificationFlow(t *testing.T) {
 	tp := canonicalTopo(t, 6)
 	// Deploy SGX run manually to keep the locals alive for predicates.
-	rep, err := RunSGXWithPredicates(tp, func(_ *Controller, locals []*ASLocal) error {
+	rep, err := RunSGX(tp, SGXConfig{After: func(_ *Controller, locals []*ASLocal) error {
 		// AS1 promises AS2 its routes avoid AS0; both register, AS2 verifies.
 		pred := Predicate{ID: "avoid-0", ASa: 1, ASb: 2, Kind: PredAvoids, Arg: 0}
 		if resp, err := locals[1].Do(&Request{Register: &pred}); err != nil || resp.Err != "" {
@@ -210,7 +210,7 @@ func TestPredicateVerificationFlow(t *testing.T) {
 			t.Fatal("non-party registered a predicate")
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestEvaluatePredicateKinds(t *testing.T) {
 
 func TestASNBindingEnforced(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGXWithPredicates(tp, func(_ *Controller, locals []*ASLocal) error {
+	_, err := RunSGX(tp, SGXConfig{After: func(_ *Controller, locals []*ASLocal) error {
 		// AS3 tries to fetch AS1's routes by lying about From. The
 		// enclave-side request path always stamps the true ASN, so we
 		// simulate a compromised AS-local *host* instead: it cannot forge
@@ -285,7 +285,7 @@ func TestASNBindingEnforced(t *testing.T) {
 			t.Fatalf("controller returned AS%d's routes to AS3", resp.Routes.ASN)
 		}
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +297,11 @@ func TestChargeScaling(t *testing.T) {
 	var prevNative, prevSGX uint64
 	for _, n := range []int{5, 15, 25} {
 		tp := canonicalTopo(t, n)
-		nat, err := RunNative(tp)
+		nat, err := RunNative(tp, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		sgx, err := RunSGX(tp)
+		sgx, err := RunSGX(tp, SGXConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,7 +173,7 @@ func TestECBRejectsBadInput(t *testing.T) {
 func TestECBChargeProportionalToBytes(t *testing.T) {
 	m := core.NewMeter()
 	c, _ := NewAES(m, make([]byte, 16))
-	m.Reset()
+	m.SnapshotAndReset()
 	c.SealECB(m, make([]byte, core.MTUBytes))
 	perPacket := m.Normal()
 	// ~7.6K per MTU packet per the Table 2 calibration.

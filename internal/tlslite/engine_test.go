@@ -35,7 +35,7 @@ func newEngine(t *testing.T, xc *xcall.Config) *RecordEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Meter().Reset()
+	eng.Meter().SnapshotAndReset()
 	return eng
 }
 

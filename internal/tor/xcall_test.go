@@ -39,7 +39,7 @@ func xcallFetch(t *testing.T, xc *xcall.Config, gets int) (uint64, xcall.Stats) 
 	}
 	defer circ.Close()
 	for _, o := range tn.ORs {
-		o.Enclave().Meter().Reset()
+		o.Enclave().Meter().SnapshotAndReset()
 	}
 	for i := 0; i < gets; i++ {
 		resp, err := circ.Get(WebHost+"|"+WebService, []byte(fmt.Sprintf("req-%d", i)))

@@ -37,7 +37,7 @@ func testEnclave(t *testing.T) *core.Enclave {
 	enc.BindHost(core.HostFunc(func(service string, arg []byte) ([]byte, error) {
 		return append([]byte("host:"), arg...), nil
 	}))
-	enc.Meter().Reset()
+	enc.Meter().SnapshotAndReset()
 	return enc
 }
 
@@ -391,7 +391,7 @@ func TestOCallFallbackFailureChargesNothing(t *testing.T) {
 		return nil, fmt.Errorf("host refuses %q", service)
 	})
 	r := NewOCallRing(enc, refuse, Config{Capacity: 8, Batch: 4, SpinBudget: 100})
-	enc.Meter().Reset()
+	enc.Meter().SnapshotAndReset()
 
 	if _, err := r.OCall("svc", nil); err == nil {
 		t.Fatal("refusing host succeeded")
