@@ -30,6 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rig.Close()
 	fmt.Printf("TLS handshake completed through %d middlebox(es); DPI rules: %v\n", *nMbox, eval.DPIPatterns)
 
 	if err := rig.Session.Send([]byte("GET /report")); err != nil {

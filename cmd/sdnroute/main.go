@@ -33,6 +33,8 @@ func main() {
 	}
 	fmt.Printf("topology: %d ASes, %d links (seed %d)\n", tp.N(), tp.Links(), *seed)
 
+	// RunNative and RunSGX each tear their deployment down before they
+	// return; runPredicates below runs while the SGX one is still live.
 	native, err := sdnctl.RunNative(tp, nil, "")
 	if err != nil {
 		log.Fatalf("native run: %v", err)

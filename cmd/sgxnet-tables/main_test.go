@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite all.golden and fig3-csv.golden")
@@ -61,6 +64,37 @@ func firstDiff(got, want []byte) string {
 	return fmt.Sprintf("first difference at line %d:\n got: %q\nwant: %q", i+1, line(g, i), line(w, i))
 }
 
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// maxHeapLeft is how much the live heap may grow across a run that has
+// torn down every deployment it made.
+const maxHeapLeft = 4 << 20
+
+// checkReleased fails t unless a run that started with goroutines
+// running and heap live has released what it deployed: its goroutines
+// exit within a deadline, polled for, and the live heap grows by less
+// than maxHeapLeft.
+func checkReleased(t *testing.T, goroutines int, heap int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			var stacks bytes.Buffer
+			pprof.Lookup("goroutine").WriteTo(&stacks, 1)
+			t.Fatalf("%d goroutines still running, want %d:\n%s", runtime.NumGoroutine(), goroutines, &stacks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if grown := liveHeap() - heap; grown >= maxHeapLeft {
+		t.Errorf("live heap grew by %.1f MiB, want < %d MiB", float64(grown)/(1<<20), maxHeapLeft>>20)
+	}
+}
+
 // TestGolden is the transcript's determinism gate, driven by the
 // sections table. The default run at -workers 8 must equal all.golden
 // byte for byte. Then each section but the extras, selected alone by
@@ -68,14 +102,18 @@ func firstDiff(got, want []byte) string {
 // -workers 8, and those bytes must be its slice of all.golden: the
 // slices, taken in table order, tile the whole file. -workers 8
 // oversubscribes small machines on purpose, and CI runs this under
-// -race, so it also shakes out data races in the fan-out.
+// -race, so it also shakes out data races in the fan-out. The default
+// run and each section must also leave no goroutine running and no
+// deployment reachable behind them (checkReleased).
 func TestGolden(t *testing.T) {
+	goroutines, heap := runtime.NumGoroutine(), liveHeap()
 	all := render(t, "-workers", "8")
 	want := readGolden(t, "all", all)
 	if !bytes.Equal(all, want) {
 		t.Fatalf("default output diverges from %s (rerun with -update if intended)\n%s",
 			golden("all"), firstDiff(all, want))
 	}
+	checkReleased(t, goroutines, heap)
 	rest := want
 	for _, s := range sections {
 		if s.extra {
@@ -87,6 +125,7 @@ func TestGolden(t *testing.T) {
 		}
 		var n int
 		ok := t.Run(s.name, func(t *testing.T) {
+			goroutines, heap := runtime.NumGoroutine(), liveHeap()
 			serial := render(t, append(flags, "-workers", "1")...)
 			parallel := render(t, append(flags, "-workers", "8")...)
 			if !bytes.Equal(serial, parallel) {
@@ -97,6 +136,7 @@ func TestGolden(t *testing.T) {
 					firstDiff(serial, rest[:min(len(rest), len(serial))]))
 			}
 			n = len(serial)
+			checkReleased(t, goroutines, heap)
 		})
 		if !ok {
 			return // the remaining slices cannot be located

@@ -49,6 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer tn.Close()
 	fmt.Printf("deployed %v: %d ORs", mode, len(tn.ORs))
 	if mode == tor.ModeSGXFull {
 		fmt.Printf(", DHT membership (%d-node Chord ring, no directory authorities)\n", tn.Ring.Size())

@@ -22,6 +22,7 @@
 // # Quickstart
 //
 //	net := sgxnet.NewNetwork()
+//	defer net.Close() // tears down every host's listeners and connections
 //	arch, _ := sgxnet.NewArchSigner()
 //	hostA, _ := sgxnet.NewSGXHost(net, "alice", arch)
 //	hostB, _ := sgxnet.NewSGXHost(net, "bob", arch)

@@ -25,6 +25,8 @@ func main() {
 	}
 	fmt.Printf("AS graph: %d ASes, %d links\n", tp.N(), tp.Links())
 
+	// RunSGX tears its deployment down before it returns, so After is
+	// where the live controllers can still be used.
 	report, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{After: func(_ *sdnctl.Controller, locals []*sdnctl.ASLocal) error {
 		// AS2 has promised AS3 that its selected routes never transit
 		// AS1 (say, a sanctioned network). Both register the identical

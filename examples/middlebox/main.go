@@ -27,6 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rig.Close()
 	mb := rig.Mboxes[0]
 	fmt.Printf("client → %s → server: TLS established through the middlebox\n", mb.Name)
 

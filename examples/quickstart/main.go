@@ -16,6 +16,7 @@ func main() {
 	// A simulated world: one architectural ("Intel") signer provisions
 	// the quoting enclaves on every SGX host.
 	net := sgxnet.NewNetwork()
+	defer net.Close() // releases every listener, connection and goroutine on it
 	arch, err := sgxnet.NewArchSigner()
 	if err != nil {
 		log.Fatal(err)

@@ -32,6 +32,7 @@ func baseline() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer tn.Close()
 	// A malicious volunteer: manual admission waves it through.
 	evil, err := tn.AddOR(tor.ORConfig{Name: "bad-exit", Exit: true, Behavior: tor.BehaveTamperExit})
 	if err != nil {
@@ -74,6 +75,7 @@ func incremental() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer tn.Close()
 	if _, err := tn.AddOR(tor.ORConfig{Name: "bad-exit", Exit: true, SGX: true, Behavior: tor.BehaveTamperExit}); err != nil {
 		fmt.Printf("malicious build rejected at admission: measurement check failed\n")
 	} else {
@@ -108,6 +110,7 @@ func full() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer tn.Close()
 	fmt.Printf("no directory authorities; %d-node Chord ring tracks membership\n", tn.Ring.Size())
 	client, err := tn.NewClient("alice", 9)
 	if err != nil {

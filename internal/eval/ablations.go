@@ -114,6 +114,7 @@ type SMPCComparison struct {
 // AblationSMPC runs one private route comparison both ways.
 func AblationSMPC() (*SMPCComparison, error) {
 	n := netsim.New()
+	defer n.Close()
 	h0, err := n.AddHost("p0", core.PlatformConfig{EPCFrames: 64})
 	if err != nil {
 		return nil, err
@@ -226,6 +227,7 @@ func AblationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error)
 	if err != nil {
 		return nil, err
 	}
+	defer rig.Close()
 	rig.Endpoint.Meter().SnapshotAndReset()
 	rig.Mboxes[0].Enclave().Meter().SnapshotAndReset()
 	if _, err := rig.ProvisionAll(tr, "ablation/mbox"); err != nil {

@@ -325,7 +325,9 @@ func chainSweepPoint(tr *obs.Trace, set *series.Set, mode string, depth, batch, 
 		if err != nil {
 			return pt, err
 		}
+		// Closed when the point returns, after its last meter read.
 		net := netsim.New()
+		defer net.Close()
 		host, err := net.AddHostWithPlatform("chain", plat)
 		if err != nil {
 			return pt, err

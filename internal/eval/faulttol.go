@@ -108,6 +108,7 @@ func faultTolPoint(tr *obs.Trace, i int, drop float64, trials int, pol attest.Re
 	if err != nil {
 		return FaultTolerancePoint{}, err
 	}
+	defer rig.net.Close()
 	rig.tShim.SetRecvTimeout(pol.RecvTimeout)
 	l, err := rig.hostT.Listen("app")
 	if err != nil {

@@ -43,13 +43,18 @@ type TorRig struct {
 
 // NewTorRig deploys the network and builds one circuit. Setup costs
 // (consensus, handshakes, attestation) are drained before first Serve.
-func NewTorRig(seed int64, xc *xcall.Config) (*TorRig, error) {
+func NewTorRig(seed int64, xc *xcall.Config) (_ *TorRig, err error) {
 	tn, err := tor.Deploy(tor.NetworkConfig{
 		Mode: tor.ModeSGXORs, Authorities: 1, Relays: 2, Exits: 1, Seed: seed, Xcall: xc,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			tn.Close()
+		}
+	}()
 	c, err := tn.NewClient("load-client", 11)
 	if err != nil {
 		return nil, err
@@ -93,10 +98,12 @@ func (r *TorRig) Serve(i int) (core.Tally, error) {
 	return t, nil
 }
 
-// Close drains any residual ring accounting and tears the circuit down.
+// Close drains any residual ring accounting and tears the circuit and
+// the deployment down.
 func (r *TorRig) Close() {
 	_ = r.tn.FlushXcall()
 	r.circ.Close()
+	r.tn.Close()
 }
 
 // --- TLS ---
@@ -242,6 +249,7 @@ const sdnASes = 6
 // re-fetching its routes — the steady-state "data plane asks the
 // control plane" exchange.
 type SDNRig struct {
+	net    *netsim.Network
 	ctl    *sdnctl.Controller
 	locals []*sdnctl.ASLocal
 	meters []*core.Meter
@@ -249,13 +257,19 @@ type SDNRig struct {
 
 // NewSDNRig deploys, attests, uploads, and computes, then drains every
 // meter so Serve tallies are pure steady-state fetch work.
-func NewSDNRig() (*SDNRig, error) {
+func NewSDNRig() (_ *SDNRig, err error) {
 	tp, err := topo.Random(topo.Config{N: sdnASes, Seed: 42, PrefJitter: true})
 	if err != nil {
 		return nil, err
 	}
 	n := tp.N()
 	net := netsim.New()
+	r := &SDNRig{net: net}
+	defer func() {
+		if err != nil {
+			r.Close()
+		}
+	}()
 	arch, err := core.NewSigner()
 	if err != nil {
 		return nil, err
@@ -282,34 +296,29 @@ func NewSDNRig() (*SDNRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &SDNRig{ctl: ctl}
+	r.ctl = ctl
 	ctlMR := sdnctl.ControllerMeasurement(n)
 	policies := sdnctl.PoliciesFromTopology(tp)
 	for a := 0; a < n; a++ {
 		host, err := newHost(fmt.Sprintf("as%d", a))
 		if err != nil {
-			r.Close()
 			return nil, err
 		}
 		asl, err := sdnctl.LaunchASLocal(host, signer, policies[a], ctlMR)
 		if err != nil {
-			r.Close()
 			return nil, err
 		}
 		r.locals = append(r.locals, asl)
 	}
 	for _, asl := range r.locals {
 		if err := asl.Connect("controller"); err != nil {
-			r.Close()
 			return nil, err
 		}
 		if err := asl.Upload(); err != nil {
-			r.Close()
 			return nil, err
 		}
 	}
 	if err := ctl.Compute(); err != nil {
-		r.Close()
 		return nil, err
 	}
 	r.meters = []*core.Meter{ctl.Enclave.Meter()}
@@ -334,7 +343,7 @@ func (r *SDNRig) Serve(i int) (core.Tally, error) {
 	return t, nil
 }
 
-// Close shuts the deployment down.
+// Close shuts the deployment down, its network last.
 func (r *SDNRig) Close() {
 	for _, asl := range r.locals {
 		asl.Close()
@@ -342,6 +351,7 @@ func (r *SDNRig) Close() {
 	if r.ctl != nil {
 		r.ctl.Close()
 	}
+	r.net.Close()
 }
 
 // --- Antagonists ---

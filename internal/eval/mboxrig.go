@@ -29,8 +29,13 @@ type MboxRig struct {
 var DPIPatterns = []string{"malware", "exfiltrate", "attack-signature"}
 
 // NewMboxRig deploys the chain and completes a TLS handshake through it.
-func NewMboxRig(nMbox int) (*MboxRig, error) {
+func NewMboxRig(nMbox int) (_ *MboxRig, err error) {
 	r := &MboxRig{Net: netsim.New()}
+	defer func() {
+		if err != nil {
+			r.Close()
+		}
+	}()
 	arch, err := core.NewSigner()
 	if err != nil {
 		return nil, err
@@ -170,10 +175,14 @@ func (r *MboxRig) AddTamperedMbox(name string) (*middlebox.Middlebox, error) {
 	})
 }
 
+// Close tears the rig's network down. Call it after the last meter read.
+func (r *MboxRig) Close() { r.Net.Close() }
+
 func middleboxAttestations(tr *obs.Trace, track string, nMbox int) (int, error) {
 	rig, err := NewMboxRig(nMbox)
 	if err != nil {
 		return 0, err
 	}
+	defer rig.Close()
 	return rig.ProvisionAll(tr, track)
 }

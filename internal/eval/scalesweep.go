@@ -112,7 +112,7 @@ func scaleSweepPoint(tr *obs.Trace, set *series.Set, spec string) (ScaleSweepPoi
 func RenderScaleSweep(w io.Writer, pts []ScaleSweepPoint) {
 	fmt.Fprintln(w, "Discrete-event scale sweep: thousands of hosts, event-driven (no goroutine-per-host)")
 	fmt.Fprintln(w, "(per-op modeled cycles from the shared cost model; events/peak/makespan from the kernel;")
-	fmt.Fprintln(w, " wall-clock events/sec reported by BenchmarkScaleSweep, not here — it is not deterministic)")
+	fmt.Fprintln(w, " wall-clock events/sec reported by the benchmark's des.events_per_s, not here — it is not deterministic)")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "spec\tops\tevents\tpeak\tmakespan\top/native\top/sgx\toverhead\tmean-lat")
 	for _, p := range pts {

@@ -35,8 +35,13 @@ type attestRig struct {
 	cState     *attest.ChallengerState
 }
 
-func newAttestRig() (*attestRig, error) {
+func newAttestRig() (_ *attestRig, err error) {
 	r := &attestRig{net: netsim.New()}
+	defer func() {
+		if err != nil {
+			r.net.Close()
+		}
+	}()
 	arch, err := core.NewSigner()
 	if err != nil {
 		return nil, err
@@ -156,6 +161,7 @@ func (r *Runner) Table1() ([]Table1Row, error) {
 			return nil, err
 		}
 		tt, qt, ct, err := rig.run(r.trace, fmt.Sprintf("table1/dh=%v", dh), dh)
+		rig.net.Close()
 		if err != nil {
 			return nil, err
 		}

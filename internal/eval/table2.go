@@ -80,6 +80,7 @@ func senderProgram() *core.Program {
 // enclave avoided.
 func MeasureSend(tr *obs.Trace, track string, count int, withCrypto bool) (core.Tally, error) {
 	n := netsim.New()
+	defer n.Close()
 	src, err := n.AddHost("src", core.PlatformConfig{EPCFrames: 128})
 	if err != nil {
 		return core.Tally{}, err

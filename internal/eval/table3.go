@@ -54,6 +54,7 @@ func (r *Runner) Table3() ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tn.Close()
 	exits := 0
 	for _, o := range tn.ORs {
 		if o.Exit {

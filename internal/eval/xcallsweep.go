@@ -195,6 +195,7 @@ func xcallTorRig(tr *obs.Trace, track string, xc *xcall.Config, mc *meterClock, 
 	if err != nil {
 		return err
 	}
+	defer tn.Close()
 	c, err := tn.NewClient("client", 11)
 	if err != nil {
 		return err

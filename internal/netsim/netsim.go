@@ -22,11 +22,18 @@ import (
 	"sgxnet/internal/netsim/des"
 )
 
-// Network connects hosts by name.
+// Network connects hosts by name. Its owner calls Close once the
+// deployment is done with, so the goroutines parked on its listeners and
+// connections return and the whole deployment can be collected.
 type Network struct {
 	mu    sync.Mutex
 	hosts map[string]*SimHost
-	conns map[*Conn]struct{}
+	// conns holds every live connection by its Key, pointing at the
+	// dialing end; a connection leaves as soon as either end closes.
+	conns map[*sync.Once]*Conn
+	// closed is set by Close before it visits the hosts and the
+	// registry; Dial and Listen check it, so nothing registers after.
+	closed atomic.Bool
 
 	// faults, when set, is the installed disturbance plan consulted on
 	// every Send (see faults.go).
@@ -44,7 +51,34 @@ type Network struct {
 
 // New creates an empty network.
 func New() *Network {
-	return &Network{hosts: make(map[string]*SimHost), conns: make(map[*Conn]struct{})}
+	return &Network{hosts: make(map[string]*SimHost), conns: make(map[*sync.Once]*Conn)}
+}
+
+// Close tears the network down: every listener stops accepting and every
+// live connection closes, so goroutines parked in Accept or Recv return
+// ErrClosed, and Dial and Listen fail from then on. Close does not wait
+// for those goroutines (an enclave call may be parked in one), so call
+// it after the deployment's last flush and meter read, or a charge from
+// a closing serve could land in a reported tally. Closing twice is
+// harmless.
+func (n *Network) Close() {
+	n.closed.Store(true)
+	n.mu.Lock()
+	hosts := make([]*SimHost, 0, len(n.hosts))
+	for _, h := range n.hosts {
+		hosts = append(hosts, h)
+	}
+	conns := make([]*Conn, 0, len(n.conns))
+	for _, c := range n.conns {
+		conns = append(conns, c)
+	}
+	n.mu.Unlock()
+	for _, h := range hosts {
+		h.closeListeners()
+	}
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // SetFaults installs a fault schedule; nil removes it. Install before
@@ -114,15 +148,9 @@ func (n *Network) RemoveHost(name string) {
 	h := n.hosts[name]
 	delete(n.hosts, name)
 	n.mu.Unlock()
-	if h == nil {
-		return
+	if h != nil {
+		h.closeListeners()
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, l := range h.listeners {
-		l.close()
-	}
-	h.listeners = map[string]*Listener{}
 }
 
 // Crash takes a host down without deregistering it: listeners close,
@@ -133,15 +161,9 @@ func (n *Network) Crash(name string) {
 	n.mu.Lock()
 	h := n.hosts[name]
 	var victims []*Conn
-	for c := range n.conns {
-		select {
-		case <-c.closed: // already dead; drop the registry entry
-			delete(n.conns, c)
-		default:
-			if c.local == name || c.remote == name {
-				victims = append(victims, c)
-				delete(n.conns, c)
-			}
+	for _, c := range n.conns {
+		if c.local == name || c.remote == name {
+			victims = append(victims, c)
 		}
 	}
 	n.mu.Unlock()
@@ -152,12 +174,7 @@ func (n *Network) Crash(name string) {
 		return
 	}
 	h.down.Store(true)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, l := range h.listeners {
-		l.close()
-	}
-	h.listeners = map[string]*Listener{}
+	h.closeListeners()
 }
 
 // Restart brings a crashed host back up. Reachability returns; services
@@ -206,6 +223,16 @@ func (h *SimHost) Platform() *core.Platform { return h.plat }
 
 // Network returns the network the host is attached to.
 func (h *SimHost) Network() *Network { return h.net }
+
+// closeListeners stops every listener on the host and forgets them.
+func (h *SimHost) closeListeners() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, l := range h.listeners {
+		l.close()
+	}
+	h.listeners = map[string]*Listener{}
+}
 
 // connBuf is the per-direction channel buffer of a connection.
 const connBuf = 256
@@ -371,9 +398,15 @@ func (c *Conn) RecvTimeout(d time.Duration) ([]byte, error) {
 	}
 }
 
-// Close tears down both ends.
+// Close tears down both ends and drops the connection from the
+// network's registry.
 func (c *Conn) Close() {
-	c.once.Do(func() { close(c.closed) })
+	c.once.Do(func() {
+		close(c.closed)
+		c.net.mu.Lock()
+		delete(c.net.conns, c.once)
+		c.net.mu.Unlock()
+	})
 }
 
 // Key identifies the connection: its two ends return the same key and
@@ -431,6 +464,11 @@ func (l *Listener) close() { l.once.Do(func() { close(l.done) }) }
 func (h *SimHost) Listen(service string) (*Listener, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	// Network.Close marks the network closed before it visits the hosts'
+	// listeners, so one registered after this check is still closed.
+	if h.net.closed.Load() {
+		return nil, ErrClosed
+	}
 	if _, dup := h.listeners[service]; dup {
 		return nil, fmt.Errorf("netsim: %s already listening on %q", h.name, service)
 	}
@@ -477,13 +515,20 @@ func (h *SimHost) Dial(remote, service string) (*Conn, error) {
 	once := new(sync.Once)
 	local := &Conn{net: h.net, local: h.name, remote: remote, send: a2b, recv: b2a, closed: closed, once: once}
 	peer := &Conn{net: h.net, local: remote, remote: h.name, send: b2a, recv: a2b, closed: closed, once: once}
+	// Register before the peer reaches the backlog: once accepted, either
+	// end may close at once, and Close's delete must find the entry.
+	h.net.mu.Lock()
+	if h.net.closed.Load() {
+		h.net.mu.Unlock()
+		return nil, ErrClosed
+	}
+	h.net.conns[once] = local
+	h.net.mu.Unlock()
 	select {
 	case l.backlog <- peer:
 	case <-l.done:
+		local.Close()
 		return nil, ErrClosed
 	}
-	h.net.mu.Lock()
-	h.net.conns[local] = struct{}{}
-	h.net.mu.Unlock()
 	return local, nil
 }

@@ -118,11 +118,15 @@ type SGXConfig struct {
 // RunSGX deploys the SGX-enabled design on the given topology: one
 // controller host plus one host per AS, all SGX platforms with quoting
 // enclaves; every AS-local controller remote-attests the inter-domain
-// controller (with DH) before uploading its policy.
+// controller (with DH) before uploading its policy. The deployment is
+// torn down before RunSGX returns; SGXConfig.After sees it live.
 func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 	tr, track := cfg.Trace, cfg.Track
 	n := t.N()
+	// Deferred first, so it runs last: after the controllers close and
+	// after every tally has been read.
 	net := netsim.New()
+	defer net.Close()
 	arch, err := core.NewSigner()
 	if err != nil {
 		return nil, err
@@ -333,9 +337,11 @@ func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 // gets the same span structure as SGXConfig.Trace (setup drain, three
 // phase spans over the reported host meters, run.total record) on
 // track, so native and SGX legs compare phase by phase in sgxnet-trace.
+// The deployment is torn down before RunNative returns.
 func RunNative(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error) {
 	n := t.N()
 	net := netsim.New()
+	defer net.Close()
 	ctlHost, err := net.AddHost("controller", core.PlatformConfig{EPCFrames: 64})
 	if err != nil {
 		return nil, err

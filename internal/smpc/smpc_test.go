@@ -116,18 +116,25 @@ func TestOTAllChoices(t *testing.T) {
 		if got != msgs[choice] {
 			t.Fatalf("choice %d: got %d want %d", choice, got, msgs[choice])
 		}
-		// The receiver cannot decrypt the other slots with its key: the
-		// pads differ per slot and per public key.
-		for other := 0; other < 4; other++ {
-			if other == choice {
-				continue
-			}
-			shared, err := rcv.key.Shared(m, bigFromBytes(m3.R))
+		// The receiver's key derives the chosen slot's secret and no
+		// other. The secrets are compared as full 32-byte digests, under
+		// a sender ephemeral the test holds: the one-byte pads would
+		// match by chance once in 256 checks.
+		r, err := sgxcrypto.GenerateKey(m, params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mine, err := rcv.key.Shared(m, r.Public)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < 4; slot++ {
+			secret, err := r.Shared(m, bigFromBytes(m2.PKs[slot]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m3.E[other][0]^otPad(shared, other) == msgs[other] {
-				t.Fatalf("receiver decrypted slot %d with choice-%d key", other, choice)
+			if derived := secret == mine; derived != (slot == choice) {
+				t.Fatalf("choice %d: receiver derives slot %d's secret: %v", choice, slot, derived)
 			}
 		}
 	}

@@ -91,11 +91,16 @@ type TorNet struct {
 
 // Deploy builds a Tor network in the given mode, with a web destination
 // host answering requests with "content:<request>".
-func Deploy(cfg NetworkConfig) (*TorNet, error) {
+func Deploy(cfg NetworkConfig) (_ *TorNet, err error) {
 	if cfg.Authorities == 0 && cfg.Mode != ModeSGXFull {
 		return nil, fmt.Errorf("tor: mode %v needs authorities", cfg.Mode)
 	}
 	tn := &TorNet{Mode: cfg.Mode, Net: netsim.New(), ratls: cfg.RATLS}
+	defer func() {
+		if err != nil {
+			tn.Close()
+		}
+	}()
 	arch, err := core.NewSigner()
 	if err != nil {
 		return nil, err
@@ -163,6 +168,11 @@ func Deploy(cfg NetworkConfig) (*TorNet, error) {
 	}
 	return tn, nil
 }
+
+// Close tears the deployment down: every listener and connection on its
+// network closes, so the ORs', authorities' and web server's goroutines
+// return. Call it after the last meter read.
+func (tn *TorNet) Close() { tn.Net.Close() }
 
 // newHost creates a host; SGX hosts get the architectural signer and a
 // quoting-enclave agent.

@@ -62,7 +62,8 @@ type (
 	Session = attest.Session
 )
 
-// NewNetwork creates an empty simulated network.
+// NewNetwork creates an empty simulated network. Close it once done
+// with, so the goroutines serving its hosts return.
 func NewNetwork() *Network { return netsim.New() }
 
 // NewArchSigner generates the architectural ("Intel") signer that
