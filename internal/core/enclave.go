@@ -12,14 +12,22 @@ import (
 
 // Enclave construction and execution.
 
-// EnclaveBuilder drives the ECREATE → EADD/EEXTEND → EINIT sequence.
+// EnclaveBuilder drives the ECREATE → EADD/EEXTEND → EINIT sequence. A
+// build that fails — an EADD the EPC cannot hold, or a SIGSTRUCT EINIT
+// rejects — ends there and returns every frame it took, SECS included.
 type EnclaveBuilder struct {
 	plat   *Platform
 	id     EnclaveID
+	secs   int // SECS frame
 	m      *measurer
-	pages  []int
-	nPages int
 	inited bool
+}
+
+// abort ends a build that will never run: its pages and SECS go back to
+// the EPC, and the builder accepts no further EADD or EINIT.
+func (b *EnclaveBuilder) abort() {
+	b.inited = true
+	b.plat.remove(b.id, b.secs)
 }
 
 // AddPage performs EADD + EEXTEND for one page of enclave content,
@@ -30,13 +38,11 @@ func (b *EnclaveBuilder) AddPage(linAddr uint64, typ PageType, perms PagePerms, 
 	if b.inited {
 		return errors.New("core: EADD after EINIT")
 	}
-	idx, err := b.plat.epc.Alloc(b.id, typ, linAddr, perms, content)
-	if err != nil {
+	if _, err := b.plat.epc.Alloc(b.id, typ, linAddr, perms, content); err != nil {
+		b.abort()
 		return fmt.Errorf("core: EADD: %w", err)
 	}
-	b.pages = append(b.pages, idx)
 	b.m.addPage(linAddr, typ, perms, content)
-	b.nPages++
 	b.plat.HostMeter.ChargeNormal(CostPageAdd)
 	if h := b.plat.probe.Load(); h != nil {
 		h.p.Observe(KindEADD, 1)
@@ -86,9 +92,11 @@ func (b *EnclaveBuilder) EInit(prog *Program, ss SigStruct) (*Enclave, error) {
 	}
 	mr := b.m.final()
 	if ss.Measurement != mr {
+		b.abort()
 		return nil, fmt.Errorf("core: EINIT: SIGSTRUCT measurement mismatch")
 	}
 	if !ed25519.Verify(ss.SignerPub, ss.Measurement[:], ss.Sig) {
+		b.abort()
 		return nil, fmt.Errorf("core: EINIT: bad SIGSTRUCT signature")
 	}
 	b.inited = true
@@ -109,10 +117,11 @@ func (b *EnclaveBuilder) EInit(prog *Program, ss SigStruct) (*Enclave, error) {
 		mrenclave: mr,
 		mrsigner:  Measurement(signer),
 		attrs:     attrs,
-		pages:     b.pages,
+		secs:      b.secs,
 	}
 	var keyID [16]byte
 	if _, err := rand.Read(keyID[:]); err != nil {
+		b.abort()
 		return nil, err
 	}
 	e.keyID = keyID
@@ -195,7 +204,7 @@ type Enclave struct {
 	mrsigner  Measurement
 	attrs     Attributes
 	keyID     [16]byte
-	pages     []int
+	secs      int // SECS frame, removed last on Destroy
 
 	hostMu sync.RWMutex
 	host   Host
@@ -301,13 +310,14 @@ func (e *Enclave) entry(fn string) (Handler, error) {
 // itself is unchanged — only who pays for the boundary moves.
 func (e *Enclave) SetSwitchlessOCalls(on bool) { e.switchlessOCalls.Store(on) }
 
-// Destroy frees the enclave's EPC pages (EREMOVE) and deregisters it. A
-// destroyed enclave rejects further calls — the host can always do this
-// (denial of service is in the host's power) but can never alter behaviour.
+// Destroy frees the enclave's EPC pages and then its SECS (EREMOVE) and
+// deregisters it. A destroyed enclave rejects further calls — the host
+// can always do this (denial of service is in the host's power) but can
+// never alter behaviour.
 func (e *Enclave) Destroy() {
 	e.destroyed.Do(func() {
 		e.dead = true
-		e.plat.remove(e.id)
+		e.plat.remove(e.id, e.secs)
 	})
 }
 

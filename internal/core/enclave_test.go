@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +99,7 @@ func TestTamperedProgramChangesMeasurement(t *testing.T) {
 
 func TestEInitRejectsBadSignature(t *testing.T) {
 	p := testPlatform(t)
+	free := p.EPC().FreeCount()
 	prog := echoProgram()
 	b, err := p.ECreate(len(prog.Image()))
 	if err != nil {
@@ -109,10 +114,14 @@ func TestEInitRejectsBadSignature(t *testing.T) {
 	if _, err := b.EInit(prog, ss); err == nil {
 		t.Fatal("EINIT accepted forged SIGSTRUCT")
 	}
+	if got := p.EPC().FreeCount(); got != free {
+		t.Fatalf("rejected build kept EPC frames: FreeCount %d, want %d", got, free)
+	}
 }
 
 func TestEInitRejectsWrongMeasurement(t *testing.T) {
 	p := testPlatform(t)
+	free := p.EPC().FreeCount()
 	prog := echoProgram()
 	b, err := p.ECreate(len(prog.Image()))
 	if err != nil {
@@ -127,6 +136,12 @@ func TestEInitRejectsWrongMeasurement(t *testing.T) {
 	ss := s.Sign(wrong) // signature valid, but over the wrong measurement
 	if _, err := b.EInit(prog, ss); err == nil {
 		t.Fatal("EINIT accepted SIGSTRUCT for a different measurement")
+	}
+	if got := p.EPC().FreeCount(); got != free {
+		t.Fatalf("rejected build kept EPC frames: FreeCount %d, want %d", got, free)
+	}
+	if err := b.AddPage(0x99000, PageREG, PermR, nil); err == nil {
+		t.Fatal("EADD accepted after the build was rejected")
 	}
 }
 
@@ -215,9 +230,148 @@ func TestDestroyFreesEPCAndBlocksCalls(t *testing.T) {
 	if _, err := e.Call("echo", nil); err == nil {
 		t.Fatal("destroyed enclave accepted a call")
 	}
-	// SECS page remains accounted to enclave 0; program pages come back.
-	if p.EPC().FreeCount() < before-1 {
+	// Every frame comes back, the SECS included.
+	if p.EPC().FreeCount() != before {
 		t.Fatalf("EPC frames not reclaimed: before=%d after=%d", before, p.EPC().FreeCount())
+	}
+}
+
+// TestLaunchDestroyCyclesReturnEveryFrame runs four EPCs' worth of
+// launch/destroy cycles on a 64-frame platform. Teardown must return
+// every frame an enclave took, its SECS included, or the platform runs
+// out of EPC after a few dozen cycles.
+func TestLaunchDestroyCyclesReturnEveryFrame(t *testing.T) {
+	const frames = 64
+	p, err := NewPlatform("cycles", PlatformConfig{EPCFrames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSigner(t)
+	start := p.EPC().FreeCount()
+	for i := 0; i < 4*frames; i++ {
+		e, err := p.Launch(echoProgram(), s)
+		if err != nil {
+			t.Fatalf("launch %d: %v", i, err)
+		}
+		e.Destroy()
+	}
+	if got := p.EPC().FreeCount(); got != start {
+		t.Fatalf("FreeCount after %d cycles = %d, want %d", 4*frames, got, start)
+	}
+}
+
+// TestLaunchIntoFullEPCReturnsFrames: a launch whose EADD finds the EPC
+// full fails and gives back every frame it took, SECS included.
+func TestLaunchIntoFullEPCReturnsFrames(t *testing.T) {
+	p, err := NewPlatform("full", PlatformConfig{EPCFrames: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSigner(t)
+	if _, err := p.Launch(echoProgram(), s); err != nil {
+		t.Fatal(err)
+	}
+	free := p.EPC().FreeCount()
+	if _, err := p.Launch(echoProgram(), s); !errors.Is(err, ErrEPCFull) {
+		t.Fatalf("second launch into %d free frames: err = %v, want ErrEPCFull", free, err)
+	}
+	if got := p.EPC().FreeCount(); got != free {
+		t.Fatalf("failed launch kept EPC frames: FreeCount %d, want %d", got, free)
+	}
+	if n := len(p.Enclaves()); n != 1 {
+		t.Fatalf("%d enclaves registered, want 1", n)
+	}
+}
+
+// TestNewPlatformAllocatesByUse: the EPC's bookkeeping follows the frames
+// in use, not the frames configured, so building a 4096-frame platform
+// allocates a few KiB of host memory, not the 256 KiB a frame table for
+// every configured frame takes.
+func TestNewPlatformAllocatesByUse(t *testing.T) {
+	cfg := PlatformConfig{EPCFrames: 4096}
+	if _, err := NewPlatform("warm", cfg); err != nil { // one-time initialization
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := NewPlatform("guard", cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 32<<10 {
+		t.Fatalf("NewPlatform with %d frames allocated %d bytes, want < 32 KiB", p.EPC().FrameCount(), got)
+	}
+	t.Logf("NewPlatform with %d frames allocated %d bytes", p.EPC().FrameCount(), got)
+}
+
+// TestConcurrentLaunchDestroyWhilePaging launches and destroys enclaves
+// from several goroutines on one platform while a pager tenant cycles
+// through more pages than the EPC holds, so the frame table grows, and
+// frames are evicted, reloaded and reused, under contention. Run under
+// -race in CI. A launch or fault may find the EPC full under some
+// interleaving; whatever happens, every frame must be back once
+// everyone is done.
+func TestConcurrentLaunchDestroyWhilePaging(t *testing.T) {
+	const frames, launchers, cycles, ws, touches = 96, 4, 30, 100, 2000
+	p, err := NewPlatform("shared", PlatformConfig{EPCFrames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSigner(t)
+	start := p.EPC().FreeCount()
+	tenant, err := p.Launch(echoProgram(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := NewPager(p.EPC(), nil)
+	full := func(err error) bool { return errors.Is(err, ErrEPCFull) || errors.Is(err, ErrPagerNoVictim) }
+
+	var wg sync.WaitGroup
+	var launched atomic.Int64
+	errs := make(chan error, launchers+1)
+	wg.Add(launchers + 1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < touches; i++ {
+			if _, err := pg.Touch(tenant.Meter(), tenant.ID(), uint64(i%ws)*PageSize); err != nil && !full(err) {
+				errs <- fmt.Errorf("touch %d: %w", i, err)
+				return
+			}
+		}
+	}()
+	for l := 0; l < launchers; l++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				e, err := p.Launch(echoProgram(), s)
+				if full(err) {
+					continue
+				}
+				if err != nil {
+					errs <- fmt.Errorf("launch %d: %w", i, err)
+					return
+				}
+				launched.Add(1)
+				e.Destroy()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := pg.Stats()
+	if st.Evictions == 0 {
+		t.Fatalf("tenant never evicted a page: %+v", st)
+	}
+	t.Logf("%d of %d launches found room; pager %+v", launched.Load(), launchers*cycles, st)
+	pg.Release(tenant.ID())
+	tenant.Destroy()
+	if got := p.EPC().FreeCount(); got != start {
+		t.Fatalf("FreeCount = %d after everyone finished, want %d", got, start)
 	}
 }
 

@@ -73,11 +73,18 @@ type EPCMEntry struct {
 // only an access on behalf of the owning enclave yields plaintext. Reads
 // from outside (ReadRaw) observe ciphertext, modelling a physical-memory
 // inspector.
+//
+// The host memory behind the model follows use, not configuration: the
+// frame table (frames, epcm) reaches only the high-water mark of frames
+// ever handed out, and the free list (released) holds only frames given
+// back below that mark. A frame past the mark has never been used and
+// reads as invalid.
 type EPC struct {
 	mu       sync.Mutex
-	frames   [][]byte
-	epcm     []EPCMEntry
-	free     []int
+	size     int                     // configured frame count
+	frames   [][]byte                // sealed contents, up to the high-water mark
+	epcm     []EPCMEntry             // one entry per frame in frames
+	released []int                   // freed frames below the mark, reused last-in first-out
 	sealKey  [32]byte                // MEE key; lives only inside the CPU package
 	versions map[versionKey][32]byte // EWB version tokens (CPU-held)
 	evictSeq map[versionKey]uint64   // per-(enclave,addr) eviction counter (nonce derivation)
@@ -94,28 +101,49 @@ var ErrEPCFull = errors.New("core: EPC full")
 var ErrEPCAccess = errors.New("core: EPCM access violation")
 
 // NewEPC builds an EPC with the given number of 4KiB frames, sealed with
-// the supplied memory-encryption key.
+// the supplied memory-encryption key. No frame table is allocated until
+// frames are handed out.
 func NewEPC(frames int, sealKey [32]byte) *EPC {
-	e := &EPC{
-		frames:  make([][]byte, frames),
-		epcm:    make([]EPCMEntry, frames),
-		free:    make([]int, 0, frames),
-		sealKey: sealKey,
-	}
-	for i := frames - 1; i >= 0; i-- {
-		e.free = append(e.free, i)
-	}
-	return e
+	return &EPC{size: max(frames, 0), sealKey: sealKey}
 }
 
 // FrameCount reports the total number of EPC frames.
-func (e *EPC) FrameCount() int { return len(e.frames) }
+func (e *EPC) FrameCount() int { return e.size }
 
 // FreeCount reports the number of unallocated frames.
 func (e *EPC) FreeCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.free)
+	return e.freeFrames()
+}
+
+// freeFrames counts the released frames plus the never-used ones past
+// the high-water mark. Caller holds e.mu.
+func (e *EPC) freeFrames() int { return len(e.released) + e.size - len(e.frames) }
+
+// take claims a free frame: the most recently released one, else the
+// lowest never-used one, which raises the high-water mark. That is the
+// order an eager list of every frame, pushed in descending order and
+// popped from the top, hands frames out in, so frame numbers (and with
+// them MEE keystreams) do not depend on how much of the table exists.
+// Caller holds e.mu and has checked freeFrames() > 0.
+func (e *EPC) take() int {
+	if n := len(e.released); n > 0 {
+		idx := e.released[n-1]
+		e.released = e.released[:n-1]
+		return idx
+	}
+	e.frames = append(e.frames, nil)
+	e.epcm = append(e.epcm, EPCMEntry{})
+	return len(e.frames) - 1
+}
+
+// release invalidates frame idx and pushes it for reuse. Caller holds
+// e.mu; idx is below the high-water mark.
+func (e *EPC) release(idx int) {
+	e.epcm[idx] = EPCMEntry{}
+	e.frames[idx] = nil
+	e.released = append(e.released, idx)
 }
 
 // Alloc claims a frame for the given enclave page. The plaintext is sealed
@@ -126,11 +154,10 @@ func (e *EPC) Alloc(owner EnclaveID, typ PageType, linAddr uint64, perms PagePer
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.free) == 0 {
+	if e.freeFrames() == 0 {
 		return 0, ErrEPCFull
 	}
-	idx := e.free[len(e.free)-1]
-	e.free = e.free[:len(e.free)-1]
+	idx := e.take()
 	page := make([]byte, PageSize)
 	copy(page, plaintext)
 	e.seal(idx, page)
@@ -199,13 +226,21 @@ func (e *EPC) FreeEnclave(owner EnclaveID) int {
 	n := 0
 	for i := range e.epcm {
 		if e.epcm[i].Valid && e.epcm[i].EnclaveID == owner {
-			e.epcm[i] = EPCMEntry{}
-			e.frames[i] = nil
-			e.free = append(e.free, i)
+			e.release(i)
 			n++
 		}
 	}
 	return n
+}
+
+// removeSECS releases an enclave's SECS frame (EREMOVE of the SECS,
+// which SGX allows only once the enclave's other pages are gone).
+func (e *EPC) removeSECS(idx int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if idx >= 0 && idx < len(e.epcm) && e.epcm[idx].Valid && e.epcm[idx].Type == PageSECS {
+		e.release(idx)
+	}
 }
 
 func (e *EPC) check(owner EnclaveID, idx int, need PagePerms) error {

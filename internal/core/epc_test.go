@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +174,185 @@ func TestPageTypeAndPermsString(t *testing.T) {
 	}
 	if got := (PermR | PermX).String(); got != "r-x" {
 		t.Fatalf("perms = %q, want r-x", got)
+	}
+}
+
+// eagerFrames is the frame allocator the EPC had before its frame table
+// grew with use: every frame on one free list from the start, pushed in
+// descending order and popped from the top. It keeps only what frame
+// numbering depends on.
+type eagerFrames struct {
+	ents []EPCMEntry
+	free []int
+}
+
+func newEagerFrames(n int) *eagerFrames {
+	m := &eagerFrames{ents: make([]EPCMEntry, n)}
+	for i := n - 1; i >= 0; i-- {
+		m.free = append(m.free, i)
+	}
+	return m
+}
+
+func (m *eagerFrames) alloc(ent EPCMEntry) (int, error) {
+	if len(m.free) == 0 {
+		return 0, ErrEPCFull
+	}
+	idx := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	m.ents[idx] = ent
+	return idx, nil
+}
+
+func (m *eagerFrames) release(idx int) {
+	m.ents[idx] = EPCMEntry{}
+	m.free = append(m.free, idx)
+}
+
+func (m *eagerFrames) freeEnclave(owner EnclaveID) int {
+	n := 0
+	for i, ent := range m.ents {
+		if ent.Valid && ent.EnclaveID == owner {
+			m.release(i)
+			n++
+		}
+	}
+	return n
+}
+
+// TestEPCMatchesEagerFreeList drives the EPC and the eager reference
+// through one seeded sequence of Alloc, FreeEnclave, EWB, ELDU and SECS
+// removal, filling the EPC to ErrEPCFull and draining it again in turn.
+// Both must hand out the same frame indices and report the same
+// FreeCount, errors and EPCM entries at every step: the sparse table
+// changes host memory, never frame numbering.
+func TestEPCMatchesEagerFreeList(t *testing.T) {
+	const frames, steps = 48, 3200
+	e := testEPC(frames)
+	ref := newEagerFrames(frames)
+	m := NewMeter()
+	rng := rand.New(rand.NewPCG(15, 48))
+	type evicted struct {
+		ep  *EvictedPage
+		ent EPCMEntry // the page's entry when evicted, restored by ELDU
+	}
+	var blobs []evicted
+	var addr uint64
+	full, afterFull := 0, 0
+	for step := 0; step < steps; step++ {
+		filling := step/400%2 == 0
+		op := rng.IntN(10)
+		switch {
+		case filling && op < 6, !filling && op < 2: // EADD / demand-zero
+			owner, typ := EnclaveID(1+rng.IntN(4)), PageREG
+			if rng.IntN(10) == 0 {
+				owner, typ = 0, PageSECS
+			}
+			addr += PageSize
+			got, gerr := e.Alloc(owner, typ, addr, PermR|PermW, nil)
+			want, werr := ref.alloc(EPCMEntry{Valid: true, Type: typ, EnclaveID: owner, LinAddr: addr, Perms: PermR | PermW})
+			if got != want || gerr != werr {
+				t.Fatalf("step %d: Alloc = %d, %v; eager list gives %d, %v", step, got, gerr, want, werr)
+			}
+			if gerr == ErrEPCFull {
+				full++
+			} else if full > 0 {
+				afterFull++
+			}
+		case op < 7: // EREMOVE of a whole enclave
+			owner := EnclaveID(1 + rng.IntN(4))
+			if got, want := e.FreeEnclave(owner), ref.freeEnclave(owner); got != want {
+				t.Fatalf("step %d: FreeEnclave(%d) = %d, want %d", step, owner, got, want)
+			}
+		case op < 8: // EREMOVE of a SECS
+			idx := rng.IntN(frames + 4)
+			e.removeSECS(idx)
+			if idx < frames && ref.ents[idx].Valid && ref.ents[idx].Type == PageSECS {
+				ref.release(idx)
+			}
+		case op < 9: // EWB, also of SECS, invalid and never-used frames
+			idx := rng.IntN(frames + 4)
+			ev, err := e.EWB(m, idx)
+			ok := idx < frames && ref.ents[idx].Valid && ref.ents[idx].Type != PageSECS
+			if (err == nil) != ok {
+				t.Fatalf("step %d: EWB(%d) err = %v, eager entry %+v", step, idx, err, ref.ents[idx%frames])
+			}
+			if ok {
+				blobs = append(blobs, evicted{ev, ref.ents[idx]})
+				ref.release(idx)
+			}
+		default: // ELDU of an outstanding blob
+			if len(blobs) == 0 {
+				continue
+			}
+			i := rng.IntN(len(blobs))
+			got, err := e.ELDU(m, blobs[i].ep)
+			if len(ref.free) == 0 {
+				if err != ErrEPCFull {
+					t.Fatalf("step %d: ELDU into a full EPC: err = %v", step, err)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("step %d: ELDU: %v", step, err)
+			}
+			if want, _ := ref.alloc(blobs[i].ent); got != want {
+				t.Fatalf("step %d: ELDU took frame %d, eager list gives %d", step, got, want)
+			}
+			blobs = append(blobs[:i], blobs[i+1:]...)
+		}
+		if got, want := e.FreeCount(), len(ref.free); got != want {
+			t.Fatalf("step %d: FreeCount = %d, want %d", step, got, want)
+		}
+		for i := 0; i < frames+2; i++ {
+			var want EPCMEntry
+			if i < frames {
+				want = ref.ents[i]
+			}
+			got, ok := e.Entry(i)
+			if got != want || ok != want.Valid {
+				t.Fatalf("step %d: Entry(%d) = %+v, %v; want %+v", step, i, got, ok, want)
+			}
+			if step%100 != 0 {
+				continue
+			}
+			if _, ok := e.ReadRaw(i); ok != want.Valid {
+				t.Fatalf("step %d: ReadRaw(%d) ok = %v, want %v", step, i, ok, want.Valid)
+			}
+		}
+	}
+	t.Logf("%d allocations hit ErrEPCFull, %d succeeded after the first", full, afterFull)
+	if full == 0 || afterFull == 0 {
+		t.Fatalf("sequence never went through ErrEPCFull and back (full=%d, allocations after=%d)", full, afterFull)
+	}
+}
+
+// TestEPCNeverUsedFramesInvalid: a frame the EPC has never handed out
+// reads exactly like an invalid one.
+func TestEPCNeverUsedFramesInvalid(t *testing.T) {
+	e := testEPC(8)
+	idx, err := e.Alloc(1, PageREG, 0, PermR|PermW, []byte("used"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := idx + 1; i < e.FrameCount(); i++ {
+		if ent, ok := e.Entry(i); ok || ent != (EPCMEntry{}) {
+			t.Fatalf("never-used frame %d: Entry = %+v, %v", i, ent, ok)
+		}
+		if _, ok := e.ReadRaw(i); ok {
+			t.Fatalf("never-used frame %d: ReadRaw succeeded", i)
+		}
+		if _, err := e.Read(1, i); err != ErrEPCAccess {
+			t.Fatalf("never-used frame %d: Read err = %v", i, err)
+		}
+		if err := e.Write(1, i, nil); err != ErrEPCAccess {
+			t.Fatalf("never-used frame %d: Write err = %v", i, err)
+		}
+		if _, err := e.EWB(NewMeter(), i); err != ErrEPCAccess {
+			t.Fatalf("never-used frame %d: EWB err = %v", i, err)
+		}
+	}
+	if e.FrameCount() != 8 || e.FreeCount() != 7 {
+		t.Fatalf("FrameCount = %d, FreeCount = %d; want 8, 7", e.FrameCount(), e.FreeCount())
 	}
 }

@@ -116,9 +116,7 @@ func (e *EPC) EWB(m *Meter, idx int) (*EvictedPage, error) {
 	copy(tok[:], blob[len(blob)-32:])
 	e.versions[vk] = tok
 
-	e.epcm[idx] = EPCMEntry{}
-	e.frames[idx] = nil
-	e.free = append(e.free, idx)
+	e.release(idx)
 	return &EvictedPage{Blob: blob}, nil
 }
 
@@ -170,7 +168,7 @@ func (e *EPC) ELDU(m *Meter, ep *EvictedPage) (int, error) {
 	if cur, ok := e.versions[key]; !ok || cur != tok {
 		return 0, ErrPageVersion
 	}
-	if len(e.free) == 0 {
+	if e.freeFrames() == 0 {
 		return 0, ErrEPCFull
 	}
 	m.ChargeNormal(CostPageLoad)
@@ -189,8 +187,7 @@ func (e *EPC) ELDU(m *Meter, ep *EvictedPage) (int, error) {
 	page := make([]byte, PageSize)
 	cipher.NewCTR(block, nonce[:]).XORKeyStream(page, body[16+18:])
 
-	idx := e.free[len(e.free)-1]
-	e.free = e.free[:len(e.free)-1]
+	idx := e.take()
 	e.seal(idx, page)
 	e.frames[idx] = page
 	e.epcm[idx] = EPCMEntry{

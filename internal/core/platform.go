@@ -199,13 +199,15 @@ func (p *Platform) ECreate(sizeHint int) (*EnclaveBuilder, error) {
 
 	secs := make([]byte, 64)
 	copy(secs, "SECS")
-	if _, err := p.epc.Alloc(0, PageSECS, 0, PermR, secs); err != nil {
+	idx, err := p.epc.Alloc(0, PageSECS, 0, PermR, secs)
+	if err != nil {
 		return nil, fmt.Errorf("core: ECREATE: %w", err)
 	}
 	p.observe(KindECREATE, 1)
 	return &EnclaveBuilder{
 		plat: p,
 		id:   id,
+		secs: idx,
 		m:    newMeasurer(uint64(sizeHint)),
 	}, nil
 }
@@ -227,10 +229,12 @@ func (p *Platform) Launch(prog *Program, signer *Signer) (*Enclave, error) {
 	return b.EInit(prog, ss)
 }
 
-// remove deregisters an enclave and frees its EPC frames.
-func (p *Platform) remove(id EnclaveID) {
+// remove deregisters an enclave and frees its EPC frames: every page it
+// owns, then its SECS.
+func (p *Platform) remove(id EnclaveID, secs int) {
 	p.mu.Lock()
 	delete(p.enclaves, id)
 	p.mu.Unlock()
 	p.epc.FreeEnclave(id)
+	p.epc.removeSECS(secs)
 }

@@ -224,53 +224,77 @@ func (r *splitmix) exp() float64 {
 	return -math.Log(1 - u)
 }
 
-// Times generates the schedule: N monotone non-decreasing arrival
-// timestamps in cycles, all <= MaxScheduleCycles. A spec whose draws
-// would exceed the ceiling returns an error rather than wrapping.
-func (s ArrivalSpec) Times() ([]uint64, error) {
+// Arrivals generates a schedule one timestamp at a time, for callers
+// that consume arrivals in order and need not hold them all. It is the
+// only implementation of the three processes; Times collects it.
+type Arrivals struct {
+	spec ArrivalSpec
+	mean float64 // mean interarrival, cycles
+	rng  splitmix
+	i    int     // timestamps returned so far
+	t    float64 // Poisson: last arrival; Bursty: on-axis time
+	err  error
+}
+
+// Arrivals validates the spec and returns a generator positioned at its
+// first arrival.
+func (s ArrivalSpec) Arrivals() (*Arrivals, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	mean := 1e6 / s.Rate // mean interarrival, cycles
-	out := make([]uint64, 0, s.N)
-	rng := splitmix{s: s.Seed}
-	emit := func(t float64) error {
-		if t > float64(MaxScheduleCycles) {
-			return fmt.Errorf("load: %s: schedule exceeds %d cycles at request %d", s, MaxScheduleCycles, len(out))
-		}
-		out = append(out, uint64(t))
-		return nil
+	return &Arrivals{spec: s, mean: 1e6 / s.Rate, rng: splitmix{s: s.Seed}}, nil
+}
+
+// Next returns the next arrival timestamp, in cycles. ok is false once
+// all N have been returned, or when the next timestamp would exceed
+// MaxScheduleCycles: err then says so, and every later call repeats it.
+func (g *Arrivals) Next() (t uint64, ok bool, err error) {
+	s := &g.spec
+	if g.err != nil || g.i == s.N {
+		return 0, false, g.err
 	}
+	var next float64
 	switch s.Kind {
 	case Fixed:
-		for i := 0; i < s.N; i++ {
-			if err := emit(mean * float64(i+1)); err != nil {
-				return nil, err
-			}
-		}
+		next = g.mean * float64(g.i+1)
 	case Poisson:
-		t := 0.0
-		for i := 0; i < s.N; i++ {
-			t += rng.exp() * mean
-			if err := emit(t); err != nil {
-				return nil, err
-			}
-		}
+		g.t += g.rng.exp() * g.mean
+		next = g.t
 	case Bursty:
 		// A Poisson process on the "on-time" axis, mapped into real
 		// time by skipping the off window of every period. Interarrival
 		// mean on the on-axis is mean*Duty, so the long-run average
 		// rate over real time is exactly Rate.
 		onLen := s.Duty * float64(s.Period)
-		onTime := 0.0
-		for i := 0; i < s.N; i++ {
-			onTime += rng.exp() * mean * s.Duty
-			k := math.Floor(onTime / onLen)
-			real := k*float64(s.Period) + (onTime - k*onLen)
-			if err := emit(real); err != nil {
+		g.t += g.rng.exp() * g.mean * s.Duty
+		k := math.Floor(g.t / onLen)
+		next = k*float64(s.Period) + (g.t - k*onLen)
+	}
+	if next > float64(MaxScheduleCycles) {
+		g.err = fmt.Errorf("load: %s: schedule exceeds %d cycles at request %d", *s, MaxScheduleCycles, g.i)
+		return 0, false, g.err
+	}
+	g.i++
+	return uint64(next), true, nil
+}
+
+// Times generates the whole schedule: N monotone non-decreasing arrival
+// timestamps in cycles, all <= MaxScheduleCycles. A spec whose draws
+// would exceed the ceiling returns an error rather than wrapping.
+func (s ArrivalSpec) Times() ([]uint64, error) {
+	g, err := s.Arrivals()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint64, 0, s.N)
+	for {
+		t, ok, err := g.Next()
+		if !ok {
+			if err != nil {
 				return nil, err
 			}
+			return out, nil
 		}
+		out = append(out, t)
 	}
-	return out, nil
 }

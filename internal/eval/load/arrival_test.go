@@ -147,3 +147,19 @@ func TestKindString(t *testing.T) {
 		t.Fatal("unknown kind should render as Kind(n)")
 	}
 }
+
+// TestArrivalsCeilingError: a timestamp past MaxScheduleCycles ends the
+// stream with an error naming the request, never a wrapped value, and
+// every later call repeats it. Validate keeps every accepted spec far
+// below the ceiling, so the generator is built here around a rate no
+// spec may carry.
+func TestArrivalsCeilingError(t *testing.T) {
+	s := ArrivalSpec{Kind: Fixed, Rate: 1e-13, N: 4}
+	g := &Arrivals{spec: s, mean: 1e6 / s.Rate}
+	for i := 0; i < 2; i++ {
+		ts, ok, err := g.Next()
+		if ok || err == nil || !strings.Contains(err.Error(), "exceeds") || !strings.HasSuffix(err.Error(), "at request 0") {
+			t.Fatalf("call %d: Next = %d, %v, %v; want the ceiling error at request 0", i, ts, ok, err)
+		}
+	}
+}

@@ -1,14 +1,17 @@
 package load
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
 // FuzzArrivalSchedule holds the spec parser to its contract on
 // arbitrary input: parse either rejects with an error or yields a spec
 // that (a) validates, (b) round-trips through its canonical String
-// form, and (c) generates a monotone, ceiling-bounded schedule — no
-// panics, no NaN-poisoned or overflowing timestamps, ever.
+// form, (c) generates a monotone, ceiling-bounded schedule — no
+// panics, no NaN-poisoned or overflowing timestamps, ever — and (d)
+// streams through Arrivals exactly the schedule Times returns.
 func FuzzArrivalSchedule(f *testing.F) {
 	seeds := []string{
 		"poisson:rate=33.5,n=600,seed=7",
@@ -51,6 +54,26 @@ func FuzzArrivalSchedule(f *testing.F) {
 			capped.N = 4096
 		}
 		times, err := capped.Times()
+		g, gerr := capped.Arrivals()
+		if gerr != nil {
+			t.Fatalf("valid spec has no generator: %q: %v", in, gerr)
+		}
+		for i := 0; ; i++ {
+			ts, ok, serr := g.Next()
+			if !ok {
+				switch {
+				case err == nil && (serr != nil || i != len(times)):
+					t.Fatalf("stream ended at %d with %v; Times gave %d timestamps", i, serr, len(times))
+				case err != nil && (serr == nil || serr.Error() != err.Error() ||
+					!strings.HasSuffix(serr.Error(), fmt.Sprintf("at request %d", i))):
+					t.Fatalf("stream ended at %d with %v; Times failed with %v", i, serr, err)
+				}
+				break
+			}
+			if err == nil && (i >= len(times) || ts != times[i]) {
+				t.Fatalf("stream diverged from Times at %d: %d", i, ts)
+			}
+		}
 		if err != nil {
 			t.Fatalf("valid spec failed to schedule: %q: %v", in, err)
 		}

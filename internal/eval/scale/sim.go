@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sgxnet/internal/core"
+	"sgxnet/internal/eval/load"
 	"sgxnet/internal/netsim/des"
 	"sgxnet/internal/sdnctl"
 )
@@ -138,10 +139,11 @@ func RunSampled(sp Spec, sm des.Sampler) (Result, error) {
 	if err := sp.Validate(); err != nil {
 		return Result{}, err
 	}
-	arr, err := sp.arrivalSpec().Times()
+	gen, err := sp.arrivalSpec().Arrivals()
 	if err != nil {
 		return Result{}, err
 	}
+	arr := &arrivals{gen: gen}
 	k := des.New()
 	k.SetSeries(sm)
 	var m machine
@@ -154,10 +156,11 @@ func RunSampled(sp Spec, sm des.Sampler) (Result, error) {
 	// Lazy arrival injection: each arrival event schedules the next, so
 	// the heap holds only the genuine in-flight backlog — PeakLive
 	// measures queueing, not the length of the input schedule.
-	if len(arr) > 0 {
-		k.At(arr[0], m, pack(stageArrive, 0, 0))
-	}
+	arr.next(k, m, 0)
 	st := k.Run()
+	if arr.err != nil {
+		return Result{}, arr.err
+	}
 	res := m.result()
 	res.Spec = sp
 	res.Events = st.Processed
@@ -172,6 +175,27 @@ func RunSampled(sp Spec, sm des.Sampler) (Result, error) {
 type machine interface {
 	des.Handler
 	result() Result
+}
+
+// arrivals feeds a machine its schedule one timestamp at a time, so a
+// cell holds its in-flight backlog and never the whole schedule. Mean
+// latency needs only the arrivals' sum, kept here: in uint64 arithmetic
+// Σ completion − Σ arrival equals Σ (completion − arrival).
+type arrivals struct {
+	gen *load.Arrivals
+	sum uint64 // Σ arrival over the ops scheduled so far
+	err error  // why the schedule stopped early, if it did
+}
+
+// next schedules op idx's arrival on k, if the schedule has one more.
+func (a *arrivals) next(k *des.Kernel, h des.Handler, idx int) {
+	t, ok, err := a.gen.Next()
+	if !ok {
+		a.err = err
+		return
+	}
+	a.sum += t
+	k.At(t, h, pack(stageArrive, 0, idx))
 }
 
 // Event stages, shared by both machines (aux disambiguates).
@@ -225,7 +249,7 @@ func linkLat(seed, key uint64) uint64 {
 // peering edge incident to the AS ingests a gossip notification.
 type sdnSim struct {
 	spec Spec
-	arr  []uint64
+	arr  *arrivals
 	k    *des.Kernel
 
 	ctrlFree uint64   // inter-domain controller busy-until
@@ -233,12 +257,12 @@ type sdnSim struct {
 	adj      [][]int  // peer list per AS
 	sm       des.Sampler
 
-	t          tally
-	ops        int
-	latencySum uint64
+	t       tally
+	ops     int
+	doneSum uint64 // Σ completion
 }
 
-func newSDNSim(sp Spec, arr []uint64, k *des.Kernel, sm des.Sampler) *sdnSim {
+func newSDNSim(sp Spec, arr *arrivals, k *des.Kernel, sm des.Sampler) *sdnSim {
 	s := &sdnSim{spec: sp, arr: arr, k: k, sm: sm, asFree: make([]uint64, sp.Hosts)}
 	s.adj = make([][]int, sp.Hosts)
 	for _, e := range sp.Edges {
@@ -253,9 +277,7 @@ func (s *sdnSim) OnEvent(now uint64, arg uint64) {
 	as := idx % s.spec.Hosts
 	switch stage {
 	case stageArrive:
-		if idx+1 < len(s.arr) {
-			s.k.At(s.arr[idx+1], s, pack(stageArrive, 0, idx+1))
-		}
+		s.arr.next(s.k, s, idx+1)
 		// The AS ships the update: one packet up to the controller.
 		s.k.At(now+linkLat(s.spec.Seed, uint64(as)), s, pack(stageServe, 0, idx))
 	case stageServe:
@@ -294,7 +316,7 @@ func (s *sdnSim) OnEvent(now uint64, arg uint64) {
 		start := max(now, s.asFree[as])
 		s.asFree[as] = start + svc
 		s.ops++
-		s.latencySum += start + svc - s.arr[idx]
+		s.doneSum += start + svc
 		if len(s.adj[as]) > 0 {
 			s.k.At(start+svc+linkLat(s.spec.Seed, uint64(as)<<20), s, pack(stagePeer, 0, idx))
 		}
@@ -314,7 +336,7 @@ func (s *sdnSim) result() Result {
 		Ops:        s.ops,
 		Native:     core.Tally{SGXU: s.t.nativeSGXU, Normal: s.t.nativeNorm},
 		SGX:        core.Tally{SGXU: s.t.sgxSGXU, Normal: s.t.sgxNorm},
-		LatencySum: s.latencySum,
+		LatencySum: s.doneSum - s.arr.sum,
 	}
 }
 
@@ -326,18 +348,18 @@ func (s *sdnSim) result() Result {
 // busy-until clocks, and the completion event returns to the client.
 type torSim struct {
 	spec Spec
-	arr  []uint64
+	arr  *arrivals
 	k    *des.Kernel
 
 	relayFree []uint64
 	path      []int // scratch, refilled per event from the seed
 
-	t          tally
-	ops        int
-	latencySum uint64
+	t       tally
+	ops     int
+	doneSum uint64 // Σ completion
 }
 
-func newTorSim(sp Spec, arr []uint64, k *des.Kernel) *torSim {
+func newTorSim(sp Spec, arr *arrivals, k *des.Kernel) *torSim {
 	return &torSim{spec: sp, arr: arr, k: k,
 		relayFree: make([]uint64, sp.Hosts), path: make([]int, sp.Hops)}
 }
@@ -373,9 +395,7 @@ func (t *torSim) OnEvent(now uint64, arg uint64) {
 	stage, aux, idx := unpack(arg)
 	switch stage {
 	case stageArrive:
-		if idx+1 < len(t.arr) {
-			t.k.At(t.arr[idx+1], t, pack(stageArrive, 0, idx+1))
-		}
+		t.arr.next(t.k, t, idx+1)
 		t.fillPath(idx)
 		// Client onion-wraps and ships the cell to the guard.
 		t.k.At(now+linkLat(t.spec.Seed, uint64(t.path[0])), t, pack(stageServe, 0, idx))
@@ -399,7 +419,7 @@ func (t *torSim) OnEvent(now uint64, arg uint64) {
 		}
 	case stageDone:
 		t.ops++
-		t.latencySum += now - t.arr[idx]
+		t.doneSum += now
 	}
 }
 
@@ -408,6 +428,6 @@ func (t *torSim) result() Result {
 		Ops:        t.ops,
 		Native:     core.Tally{SGXU: t.t.nativeSGXU, Normal: t.t.nativeNorm},
 		SGX:        core.Tally{SGXU: t.t.sgxSGXU, Normal: t.t.sgxNorm},
-		LatencySum: t.latencySum,
+		LatencySum: t.doneSum - t.arr.sum,
 	}
 }
