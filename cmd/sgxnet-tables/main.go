@@ -14,19 +14,19 @@
 //	sgxnet-tables -trace out.json -trace-format chrome  # Perfetto-viewable
 //	sgxnet-tables -series out.csv  # also record windowed time-series metrics
 //	sgxnet-tables -series out.om -series-format openmetrics
-//	sgxnet-tables -debug-addr :6060                     # pprof/expvar server
+//	sgxnet-tables -cpuprofile cpu.pprof  # host CPU profile, labelled by section
+//	go tool pprof -tags cpu.pprof        # its CPU per section
 package main
 
 import (
 	"bytes"
-	"expvar"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
+	"runtime/pprof"
 
 	"sgxnet/internal/core"
 	"sgxnet/internal/eval"
@@ -118,7 +118,7 @@ type options struct {
 	series       string // series output path; "" disables the sampler layer
 	seriesFormat string // "csv" (default) or "openmetrics"
 	seriesWindow uint64 // window width in cycles; 0 = series.DefaultWindowCycles
-	debugAddr    string // pprof/expvar listen address; "" = off
+	cpuProfile   string // CPU profile output path; "" = off
 }
 
 // runs reports whether the run includes s: the sections the selecting
@@ -152,7 +152,7 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.series, "series", "", "write windowed time-series metrics (virtual-clock windows) to this file")
 	fs.StringVar(&o.seriesFormat, "series-format", "csv", "series format: csv (for sgxnet-trace -series) or openmetrics")
 	fs.Uint64Var(&o.seriesWindow, "series-window", 0, "series window width in cycles; 0 = the default 4Mi")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :6060); off by default")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file, each sample labelled with its section")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -175,8 +175,21 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 // engine's worker pool, and the buffers are concatenated in table
 // order, each followed by a blank line. Every section but the extras is
 // byte-for-byte reproducible at any worker count — the golden test
-// depends on it.
-func emit(w io.Writer, o options) error {
+// depends on it. Each section runs under a "section" profiler label,
+// which the goroutines it starts inherit, so a -cpuprofile splits by
+// section (go tool pprof -tagfocus section=...).
+func emit(w io.Writer, o options) (err error) {
+	if o.cpuProfile != "" {
+		stop, perr := profileCPU(o.cpuProfile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
+	}
 	r := eval.NewRunner(o.workers)
 	var tr *obs.Trace
 	if o.trace != "" {
@@ -204,13 +217,17 @@ func emit(w io.Writer, o options) error {
 		if !o.runs(s) {
 			continue
 		}
-		selected = append(selected, func() ([]byte, error) {
-			var b bytes.Buffer
-			if err := s.run(r, &b, o); err != nil {
-				return nil, fmt.Errorf("%s: %w", s.name, err)
-			}
-			fmt.Fprintln(&b)
-			return b.Bytes(), nil
+		selected = append(selected, func() (out []byte, err error) {
+			pprof.Do(context.Background(), pprof.Labels("section", s.name), func(context.Context) {
+				var b bytes.Buffer
+				if err = s.run(r, &b, o); err != nil {
+					err = fmt.Errorf("%s: %w", s.name, err)
+					return
+				}
+				fmt.Fprintln(&b)
+				out = b.Bytes()
+			})
+			return out, err
 		})
 	}
 	outs, err := r.RenderAll(selected)
@@ -233,6 +250,23 @@ func emit(w io.Writer, o options) error {
 		}
 	}
 	return nil
+}
+
+// profileCPU starts a CPU profile written to path. The returned stop
+// ends it and closes the file.
+func profileCPU(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // writeSeries exports the series set to path in the chosen format.
@@ -283,18 +317,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if o.debugAddr != "" {
-		// Wall-clock profiling of the harness itself (worker-pool
-		// utilization, GC); the deterministic cost model never reads it.
-		expvar.Publish("workers", expvar.Func(func() any { return o.workers }))
-		go func() {
-			if err := http.ListenAndServe(o.debugAddr, nil); err != nil {
-				log.Printf("debug server: %v", err)
-			}
-		}()
-	}
-
 	if err := emit(os.Stdout, o); err != nil {
 		log.Fatal(err)
 	}

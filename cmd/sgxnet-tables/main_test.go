@@ -177,3 +177,20 @@ func TestGoldenCSV(t *testing.T) {
 			golden("fig3-csv"), firstDiff(got, want))
 	}
 }
+
+// TestCPUProfile: -cpuprofile writes a profile (gzip-compressed protobuf)
+// and leaves the transcript as it is.
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	got := render(t, "-table", "1", "-cpuprofile", path)
+	if want := render(t, "-table", "1"); !bytes.Equal(got, want) {
+		t.Fatalf("-cpuprofile changed the output\n%s", firstDiff(got, want))
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+		t.Fatalf("%s is not a gzip-compressed profile (%d bytes)", path, len(b))
+	}
+}

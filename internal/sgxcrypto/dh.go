@@ -8,6 +8,11 @@
 // *core.Meter, so instruction tallies reflect where the paper says the
 // cycles go (e.g. "the Diffie-Hellman key exchange takes up 90% of the
 // cycles", §5).
+//
+// Two host-side caches save wall clock without changing any output or
+// charge: the DH parameter cache (paramcache.go) reuses a found prime,
+// and the fixed-base tables (fixedbase.go) compute g^x about twice as
+// fast as big.Int.Exp for the groups a process reuses.
 package sgxcrypto
 
 import (
@@ -100,7 +105,9 @@ type DHKey struct {
 }
 
 // GenerateKey creates an ephemeral keypair in the group, charging half the
-// key-agreement cost (one modular exponentiation).
+// key-agreement cost (one modular exponentiation). The charge and the
+// entropy read are the same whether g^x comes from a fixed-base table or
+// from big.Int.Exp.
 func GenerateKey(m *core.Meter, params *DHParams, rnd io.Reader) (*DHKey, error) {
 	if params == nil || params.P == nil || params.G == nil {
 		return nil, errors.New("sgxcrypto: nil DH params")
@@ -118,7 +125,7 @@ func GenerateKey(m *core.Meter, params *DHParams, rnd io.Reader) (*DHKey, error)
 	x.Add(x, big.NewInt(2))
 	return &DHKey{
 		Params: params,
-		Public: new(big.Int).Exp(params.G, x, params.P),
+		Public: expG(params, x),
 		x:      x,
 	}, nil
 }

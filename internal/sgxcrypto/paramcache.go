@@ -19,6 +19,14 @@ import (
 // the system-entropy path (rnd == nil) is cached, because a
 // caller-supplied reader is a deterministic test fixture whose byte
 // consumption is part of its contract.
+//
+// The cache also keeps the fixed-base tables (fixedbase.go) of the
+// groups a process reuses: the standard group's and each cached
+// group's. A table is built on first use, never at package init, so a
+// run that does no DH pays nothing for it; ResetParamCache drops them
+// all. Groups are matched by value, since the attest challenger and the
+// tlslite client rebuild DHParams from wire bytes. Any other group gets
+// no table, so wire input cannot grow the set.
 
 type paramCacheKey struct {
 	bits int
@@ -26,7 +34,8 @@ type paramCacheKey struct {
 
 var (
 	paramCacheMu sync.Mutex
-	paramCache   = make(map[paramCacheKey]*DHParams)
+	paramCache   = make(map[paramCacheKey]*fixedBase)
+	standardBase = newFixedBase(oakley2P, big.NewInt(2))
 )
 
 // cachedParams returns a private copy of the cached group for bits, if
@@ -35,11 +44,11 @@ var (
 func cachedParams(bits int) (*DHParams, bool) {
 	paramCacheMu.Lock()
 	defer paramCacheMu.Unlock()
-	p, ok := paramCache[paramCacheKey{bits: bits}]
+	fb, ok := paramCache[paramCacheKey{bits: bits}]
 	if !ok {
 		return nil, false
 	}
-	return &DHParams{P: new(big.Int).Set(p.P), G: new(big.Int).Set(p.G)}, true
+	return &DHParams{P: new(big.Int).Set(fb.p), G: new(big.Int).Set(fb.g)}, true
 }
 
 // storeParams records a freshly generated group. The stored copy is
@@ -53,13 +62,28 @@ func storeParams(bits int, p *DHParams) {
 	if _, dup := paramCache[key]; dup {
 		return
 	}
-	paramCache[key] = &DHParams{P: new(big.Int).Set(p.P), G: new(big.Int).Set(p.G)}
+	paramCache[key] = newFixedBase(p.P, p.G)
 }
 
-// ResetParamCache drops every cached group — for tests that need to
-// observe the generation path itself.
+// reusedGroup returns the table holder of params if params is, by
+// value, the standard group or a cached one, and nil otherwise.
+func reusedGroup(params *DHParams) *fixedBase {
+	paramCacheMu.Lock()
+	defer paramCacheMu.Unlock()
+	if standardBase.is(params) {
+		return standardBase
+	}
+	if fb := paramCache[paramCacheKey{bits: params.P.BitLen()}]; fb != nil && fb.is(params) {
+		return fb
+	}
+	return nil
+}
+
+// ResetParamCache drops every cached group and every fixed-base table —
+// for tests that need to observe the generation path itself.
 func ResetParamCache() {
 	paramCacheMu.Lock()
 	defer paramCacheMu.Unlock()
-	paramCache = make(map[paramCacheKey]*DHParams)
+	paramCache = make(map[paramCacheKey]*fixedBase)
+	standardBase = newFixedBase(oakley2P, big.NewInt(2))
 }
