@@ -33,8 +33,9 @@ func main() {
 	}
 	fmt.Printf("topology: %d ASes, %d links (seed %d)\n", tp.N(), tp.Links(), *seed)
 
-	// RunNative and RunSGX each tear their deployment down before they
-	// return; runPredicates below runs while the SGX one is still live.
+	// RunNative tears its deployment down before it returns. The SGX
+	// deployment stays live from Deploy to Close, so the predicates run
+	// on it after the measured phases.
 	native, err := sdnctl.RunNative(tp, nil, "")
 	if err != nil {
 		log.Fatalf("native run: %v", err)
@@ -48,28 +49,15 @@ func main() {
 		return
 	}
 
-	runPredicates := func(_ *sdnctl.Controller, locals []*sdnctl.ASLocal) error {
-		if !*predicates {
-			return nil
-		}
-		// AS1 promises AS2 that its routes avoid AS0.
-		pred := sdnctl.Predicate{ID: "avoid-0", ASa: 1, ASb: 2, Kind: sdnctl.PredAvoids, Arg: 0}
-		for _, asn := range []int{1, 2} {
-			resp, err := locals[asn].Do(&sdnctl.Request{Register: &pred})
-			if err != nil || resp.Err != "" {
-				return fmt.Errorf("register by AS%d: %v %s", asn, err, resp.Err)
-			}
-		}
-		resp, err := locals[2].Do(&sdnctl.Request{Verify: "avoid-0"})
-		if err != nil || resp.Verdict == nil {
-			return fmt.Errorf("verify: %v %+v", err, resp)
-		}
-		fmt.Printf("predicate %q (AS1 promises AS2 to avoid AS0): holds=%v — verified inside the enclave, nothing else disclosed\n",
-			resp.Verdict.PredicateID, resp.Verdict.Holds)
-		return nil
+	d, err := sdnctl.Deploy(tp, sdnctl.SGXConfig{})
+	if err != nil {
+		log.Fatalf("SGX run: %v", err)
 	}
-
-	sgx, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{After: runPredicates})
+	sgx, err := d.Run()
+	if err == nil && *predicates {
+		err = runPredicates(d.Locals)
+	}
+	d.Close()
 	if err != nil {
 		log.Fatalf("SGX run: %v", err)
 	}
@@ -83,4 +71,23 @@ func main() {
 		log.Fatal("SGX and native deployments computed different routes")
 	}
 	fmt.Println("SGX and native routes identical; policies never left the enclaves in the SGX run")
+}
+
+// runPredicates registers and verifies one predicate on a live
+// deployment: AS1 promises AS2 that its routes avoid AS0.
+func runPredicates(locals []*sdnctl.ASLocal) error {
+	pred := sdnctl.Predicate{ID: "avoid-0", ASa: 1, ASb: 2, Kind: sdnctl.PredAvoids, Arg: 0}
+	for _, asn := range []int{1, 2} {
+		resp, err := locals[asn].Do(&sdnctl.Request{Register: &pred})
+		if err != nil || resp.Err != "" {
+			return fmt.Errorf("register by AS%d: %v %s", asn, err, resp.Err)
+		}
+	}
+	resp, err := locals[2].Do(&sdnctl.Request{Verify: "avoid-0"})
+	if err != nil || resp.Verdict == nil {
+		return fmt.Errorf("verify: %v %+v", err, resp)
+	}
+	fmt.Printf("predicate %q (AS1 promises AS2 to avoid AS0): holds=%v — verified inside the enclave, nothing else disclosed\n",
+		resp.Verdict.PredicateID, resp.Verdict.Holds)
+	return nil
 }

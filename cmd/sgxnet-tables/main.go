@@ -117,7 +117,6 @@ type options struct {
 	traceFormat  string // "jsonl" (default) or "chrome"
 	series       string // series output path; "" disables the sampler layer
 	seriesFormat string // "csv" (default) or "openmetrics"
-	seriesWindow uint64 // window width in cycles; 0 = series.DefaultWindowCycles
 	cpuProfile   string // CPU profile output path; "" = off
 }
 
@@ -151,7 +150,6 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.traceFormat, "trace-format", "jsonl", "trace format: jsonl (for sgxnet-trace) or chrome (for Perfetto)")
 	fs.StringVar(&o.series, "series", "", "write windowed time-series metrics (virtual-clock windows) to this file")
 	fs.StringVar(&o.seriesFormat, "series-format", "csv", "series format: csv (for sgxnet-trace -series) or openmetrics")
-	fs.Uint64Var(&o.seriesWindow, "series-window", 0, "series window width in cycles; 0 = the default 4Mi")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file, each sample labelled with its section")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -208,7 +206,7 @@ func emit(w io.Writer, o options) (err error) {
 		// per-window counters and gauges on their virtual clocks. The
 		// reduction is order-invariant and tracks are per-cell, so the
 		// exported series are byte-identical at any -workers count.
-		set = series.NewSet(o.seriesWindow)
+		set = series.NewSet(0)
 		r.SetSeries(set)
 	}
 

@@ -25,34 +25,17 @@ func main() {
 	}
 	fmt.Printf("AS graph: %d ASes, %d links\n", tp.N(), tp.Links())
 
-	// RunSGX tears its deployment down before it returns, so After is
-	// where the live controllers can still be used.
-	report, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{After: func(_ *sdnctl.Controller, locals []*sdnctl.ASLocal) error {
-		// AS2 has promised AS3 that its selected routes never transit
-		// AS1 (say, a sanctioned network). Both register the identical
-		// predicate; only then will the controller evaluate it.
-		pred := sdnctl.Predicate{ID: "as2-avoids-as1", ASa: 2, ASb: 3, Kind: sdnctl.PredAvoids, Arg: 1}
-		for _, asn := range []int{2, 3} {
-			resp, err := locals[asn].Do(&sdnctl.Request{Register: &pred})
-			if err != nil || resp.Err != "" {
-				return fmt.Errorf("register by AS%d: %v %s", asn, err, resp.Err)
-			}
-		}
-		resp, err := locals[3].Do(&sdnctl.Request{Verify: pred.ID})
-		if err != nil || resp.Verdict == nil {
-			return fmt.Errorf("verify: %v %+v", err, resp)
-		}
-		fmt.Printf("predicate %q → holds=%v (one bit disclosed, nothing else)\n",
-			pred.ID, resp.Verdict.Holds)
-
-		// An AS that is not a party cannot even ask.
-		resp, err = locals[7].Do(&sdnctl.Request{Verify: pred.ID})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("AS7 (non-party) verification attempt: %q\n", resp.Err)
-		return nil
-	}})
+	// The deployment stays live from Deploy to Close: after the measured
+	// phases, two ASes use it to verify a business promise.
+	d, err := sdnctl.Deploy(tp, sdnctl.SGXConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := d.Run()
+	if err == nil {
+		err = verifyPromise(d.Locals)
+	}
+	d.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,4 +57,33 @@ func main() {
 		log.Fatal("valley detected")
 	}
 	fmt.Println("all routes valley-free and loop-free")
+}
+
+// verifyPromise has AS2 and AS3 register a predicate on the live
+// deployment and AS3 verify it; AS7, not a party, is refused.
+func verifyPromise(locals []*sdnctl.ASLocal) error {
+	// AS2 has promised AS3 that its selected routes never transit
+	// AS1 (say, a sanctioned network). Both register the identical
+	// predicate; only then will the controller evaluate it.
+	pred := sdnctl.Predicate{ID: "as2-avoids-as1", ASa: 2, ASb: 3, Kind: sdnctl.PredAvoids, Arg: 1}
+	for _, asn := range []int{2, 3} {
+		resp, err := locals[asn].Do(&sdnctl.Request{Register: &pred})
+		if err != nil || resp.Err != "" {
+			return fmt.Errorf("register by AS%d: %v %s", asn, err, resp.Err)
+		}
+	}
+	resp, err := locals[3].Do(&sdnctl.Request{Verify: pred.ID})
+	if err != nil || resp.Verdict == nil {
+		return fmt.Errorf("verify: %v %+v", err, resp)
+	}
+	fmt.Printf("predicate %q → holds=%v (one bit disclosed, nothing else)\n",
+		pred.ID, resp.Verdict.Holds)
+
+	// An AS that is not a party cannot even ask.
+	resp, err = locals[7].Do(&sdnctl.Request{Verify: pred.ID})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("AS7 (non-party) verification attempt: %q\n", resp.Err)
+	return nil
 }

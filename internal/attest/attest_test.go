@@ -43,15 +43,7 @@ func challengerProgram(st *ChallengerState) *core.Program {
 
 func addSGXHost(t *testing.T, n *netsim.Network, name string, arch *core.Signer) (*netsim.SimHost, *Agent) {
 	t.Helper()
-	plat, err := core.NewPlatform(name, core.PlatformConfig{EPCFrames: 512, ArchSigner: arch.MRSigner()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := n.AddHostWithPlatform(name, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent, err := NewAgent(h, arch)
+	h, agent, err := NewSGXHost(n, name, arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +110,13 @@ func (f *fixture) run(t *testing.T, wantDH bool) (uint32, uint32, error, error) 
 		if targetErr != nil {
 			return
 		}
-		tid, targetErr = Respond(f.target, f.tShim, f.hostT, serverConn)
+		tid, targetErr = Respond(nil, "", f.target, f.tShim, f.hostT, serverConn)
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cid, _, challErr := Challenge(f.challenger, f.cShim, conn, wantDH)
+	cid, _, challErr := Challenge(nil, "", f.challenger, f.cShim, conn, wantDH)
 	wg.Wait()
 	return cid, tid, challErr, targetErr
 }
@@ -471,7 +463,7 @@ func TestEvidenceTamperingRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Respond(f.target, f.tShim, f.hostT, sc) // will fail when the client aborts
+		Respond(nil, "", f.target, f.tShim, f.hostT, sc) // will fail when the client aborts
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {
@@ -515,7 +507,7 @@ func TestReplayedEvidenceRejected(t *testing.T) {
 			if err != nil {
 				return
 			}
-			Respond(f.target, f.tShim, f.hostT, sc)
+			Respond(nil, "", f.target, f.tShim, f.hostT, sc)
 		}()
 		conn, err := f.hostC.Dial("target-host", "app")
 		if err != nil {
@@ -547,7 +539,7 @@ func TestReplayedEvidenceRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Respond(f.target, f.tShim, f.hostT, sc)
+		Respond(nil, "", f.target, f.tShim, f.hostT, sc)
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {

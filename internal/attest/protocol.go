@@ -259,15 +259,11 @@ func (st *TargetState) finish(env *core.Env, arg []byte) ([]byte, error) {
 // opens the local quoting-enclave connection, performs the untrusted
 // hello/done framing, and enters the enclave for the three protocol
 // steps. On success the enclave holds a session for the returned connID.
-func Respond(enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn *netsim.Conn) (uint32, error) {
-	return RespondTrace(nil, "", enc, shim, host, conn)
-}
-
-// RespondTrace is Respond with an optional trace: each protocol round
-// becomes a span on the given track carrying the target enclave's tally
-// delta for that round. A nil trace makes it identical to Respond. The
-// track must be private to this (sequential) driver flow.
-func RespondTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn *netsim.Conn) (uint32, error) {
+// With a non-nil trace, the whole run and each protocol round become
+// spans on track carrying the target enclave's tally deltas; the track
+// must be private to this (sequential) flow. A nil trace records
+// nothing.
+func Respond(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn *netsim.Conn) (uint32, error) {
 	// A previous run's closing charges (finish's top-up and EEXIT, sent
 	// after its ack) must land before this run's top-up window opens.
 	enc.Meter().Settle()
@@ -517,16 +513,11 @@ func (st *ChallengerState) Abort(connID uint32) {
 // Challenge drives the challenger side of one remote attestation over
 // conn. On success the enclave holds a session for the returned connID
 // and the attested peer identity is returned. On failure the connection
-// is closed so the remote side unblocks.
-func Challenge(enc *core.Enclave, shim *netsim.IOShim, conn *netsim.Conn, wantDH bool) (uint32, Identity, error) {
-	return ChallengeTrace(nil, "", enc, shim, conn, wantDH)
-}
-
-// ChallengeTrace is Challenge with an optional trace: the whole run and
-// each enclave round become spans on the given track carrying the
-// challenger enclave's tally deltas. A nil trace makes it identical to
-// Challenge. The track must be private to this (sequential) flow.
-func ChallengeTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, conn *netsim.Conn, wantDH bool) (uint32, Identity, error) {
+// is closed so the remote side unblocks. With a non-nil trace, the
+// whole run and each enclave round become spans on track carrying the
+// challenger enclave's tally deltas; the track must be private to this
+// (sequential) flow. A nil trace records nothing.
+func Challenge(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, conn *netsim.Conn, wantDH bool) (uint32, Identity, error) {
 	all := tr.Begin(track, "attest.challenge", enc.Meter())
 	cid, id, err := challengeOnce(tr, track, enc, shim, conn, wantDH, 0)
 	all.End()

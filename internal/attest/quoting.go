@@ -216,6 +216,22 @@ func NewAgent(host *netsim.SimHost, archSigner *core.Signer) (*Agent, error) {
 	return a, nil
 }
 
+// NewSGXHost adds an SGX host to the network — the building block of
+// every deployment (§2.2, Figure 1): a platform with the default EPC
+// that admits archSigner's architectural launches, and the quoting
+// enclave NewAgent launches and serves on it.
+func NewSGXHost(net *netsim.Network, name string, archSigner *core.Signer) (*netsim.SimHost, *Agent, error) {
+	host, err := net.AddHost(name, core.PlatformConfig{ArchSigner: archSigner.MRSigner()})
+	if err != nil {
+		return nil, nil, err
+	}
+	agent, err := NewAgent(host, archSigner)
+	if err != nil {
+		return nil, nil, err
+	}
+	return host, agent, nil
+}
+
 // serving maps a quote connection's netsim.Conn.Key to a channel that
 // closes once the serve on it has returned. The quoting enclave sends
 // qe-bye before its closing top-up charge, its EEXIT and the agent's

@@ -82,19 +82,13 @@ func Transient(err error) bool {
 // connection, its connID (holding the established session), the attested
 // identity, and how many retries were needed. Pending enclave state of
 // failed attempts is aborted, and each retry charges
-// core.CostRetryAttempt to the challenger enclave's meter.
-func ChallengeRetry(enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
-	dial func() (*netsim.Conn, error), wantDH bool, pol RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
-	return ChallengeRetryTrace(nil, "", enc, shim, st, dial, wantDH, pol)
-}
-
-// ChallengeRetryTrace is ChallengeRetry with an optional trace: every
-// retry records an "attest.retry" instant event (with the attempt
-// number and the error that forced it), and the enclave rounds of each
-// attempt become spans, so a trace shows exactly how much of an
-// attestation's cost the network adversary caused. A nil trace makes it
-// identical to ChallengeRetry.
-func ChallengeRetryTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
+// core.CostRetryAttempt to the challenger enclave's meter. With a
+// non-nil trace, every retry records an "attest.retry" instant event on
+// track (with the attempt number and the error that forced it), and the
+// enclave rounds of each attempt become spans, so a trace shows exactly
+// how much of an attestation's cost the network adversary caused. A nil
+// trace records nothing.
+func ChallengeRetry(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
 	dial func() (*netsim.Conn, error), wantDH bool, pol RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
 	pol = pol.withDefaults()
 	backoff := pol.Backoff
@@ -169,5 +163,5 @@ func Reestablish(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IO
 	tr.Event(track, "attest.reestablish", map[string]string{
 		"conn": fmt.Sprint(oldConnID),
 	})
-	return ChallengeRetryTrace(tr, track, enc, shim, st, dial, wantDH, pol)
+	return ChallengeRetry(tr, track, enc, shim, st, dial, wantDH, pol)
 }

@@ -18,7 +18,7 @@ func serveAttest(t *testing.T, f *fixture) *netsim.Listener {
 		t.Fatal(err)
 	}
 	go l.Serve(func(c *netsim.Conn) {
-		_, _ = Respond(f.target, f.tShim, f.hostT, c)
+		_, _ = Respond(nil, "", f.target, f.tShim, f.hostT, c)
 	})
 	return l
 }
@@ -37,7 +37,7 @@ func TestChallengeRetrySurvivesDrops(t *testing.T) {
 	defer l.Close()
 
 	pol := RetryPolicy{Attempts: 12, RecvTimeout: 80 * time.Millisecond}
-	conn, cid, id, retries, err := ChallengeRetry(f.challenger, f.cShim, f.cState,
+	conn, cid, id, retries, err := ChallengeRetry(nil, "", f.challenger, f.cShim, f.cState,
 		func() (*netsim.Conn, error) { return f.hostC.Dial("target-host", "app") }, false, pol)
 	if err != nil {
 		t.Fatalf("attestation never survived the loss (schedule %v): %v", fs, err)
@@ -66,7 +66,7 @@ func TestRetryChargesTheMeter(t *testing.T) {
 	f.challenger.Meter().SnapshotAndReset()
 	pol := RetryPolicy{Attempts: 3, RecvTimeout: 20 * time.Millisecond,
 		Backoff: time.Millisecond, BackoffMax: 2 * time.Millisecond}
-	_, _, _, _, err := ChallengeRetry(f.challenger, f.cShim, f.cState,
+	_, _, _, _, err := ChallengeRetry(nil, "", f.challenger, f.cShim, f.cState,
 		func() (*netsim.Conn, error) { return f.hostC.Dial("target-host", "app") }, false, pol)
 	if !errors.Is(err, netsim.ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
@@ -88,7 +88,7 @@ func TestChallengeTimesOutAgainstSilentTarget(t *testing.T) {
 	f.challenger.Meter().SnapshotAndReset()
 	pol := RetryPolicy{Attempts: 2, RecvTimeout: 30 * time.Millisecond,
 		Backoff: time.Millisecond, BackoffMax: time.Millisecond}
-	_, _, _, _, err = ChallengeRetry(f.challenger, f.cShim, f.cState,
+	_, _, _, _, err = ChallengeRetry(nil, "", f.challenger, f.cShim, f.cState,
 		func() (*netsim.Conn, error) { return f.hostC.Dial("target-host", "app") }, false, pol)
 	if !errors.Is(err, netsim.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -116,7 +116,7 @@ func TestPolicyRejectionIsNotRetried(t *testing.T) {
 	dials := 0
 	pol := RetryPolicy{Attempts: 5, RecvTimeout: 200 * time.Millisecond,
 		Backoff: time.Millisecond, BackoffMax: time.Millisecond}
-	_, _, _, _, err := ChallengeRetry(f.challenger, f.cShim, f.cState,
+	_, _, _, _, err := ChallengeRetry(nil, "", f.challenger, f.cShim, f.cState,
 		func() (*netsim.Conn, error) { dials++; return f.hostC.Dial("target-host", "app") }, false, pol)
 	if err == nil {
 		t.Fatal("policy rejection vanished")
@@ -193,7 +193,7 @@ func TestReestablishInvalidatesAndCharges(t *testing.T) {
 	dial := func() (*netsim.Conn, error) { return f.hostC.Dial("target-host", "app") }
 	pol := RetryPolicy{Attempts: 2, RecvTimeout: 200 * time.Millisecond,
 		Backoff: time.Millisecond, BackoffMax: time.Millisecond}
-	conn, cid, _, _, err := ChallengeRetry(f.challenger, f.cShim, f.cState, dial, true, pol)
+	conn, cid, _, _, err := ChallengeRetry(nil, "", f.challenger, f.cShim, f.cState, dial, true, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRevokedThenRetriedPeerAlwaysRejected(t *testing.T) {
 	revoked[0] = 0xba
 	for i := 0; i < 5; i++ {
 		f.cState.SetPolicy(Policy{}) // peer currently trusted
-		conn, cid, id, _, err := ChallengeRetry(f.challenger, f.cShim, f.cState, dial, true, pol)
+		conn, cid, id, _, err := ChallengeRetry(nil, "", f.challenger, f.cShim, f.cState, dial, true, pol)
 		if err != nil {
 			t.Fatalf("iteration %d: establishment failed: %v", i, err)
 		}

@@ -115,11 +115,11 @@ type SMPCComparison struct {
 func AblationSMPC() (*SMPCComparison, error) {
 	n := netsim.New()
 	defer n.Close()
-	h0, err := n.AddHost("p0", core.PlatformConfig{EPCFrames: 64})
+	h0, err := n.AddHost("p0", core.PlatformConfig{})
 	if err != nil {
 		return nil, err
 	}
-	h1, err := n.AddHost("p1", core.PlatformConfig{EPCFrames: 64})
+	h1, err := n.AddHost("p1", core.PlatformConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -319,9 +319,7 @@ func chainSweepPoint(tr *obs.Trace, set *series.Set, mode string, depth, batch, 
 		if err != nil {
 			return pt, err
 		}
-		plat, err := core.NewPlatform("chain-sweep", core.PlatformConfig{
-			EPCFrames: 2048, ArchSigner: arch.MRSigner(), Seed: []byte(track),
-		})
+		plat, err := core.NewPlatform("chain-sweep", core.PlatformConfig{ArchSigner: arch.MRSigner(), Seed: []byte(track)})
 		if err != nil {
 			return pt, err
 		}
@@ -332,7 +330,7 @@ func chainSweepPoint(tr *obs.Trace, set *series.Set, mode string, depth, batch, 
 		if err != nil {
 			return pt, err
 		}
-		sink, err := net.AddHost("sink", core.PlatformConfig{EPCFrames: 64})
+		sink, err := net.AddHost("sink", core.PlatformConfig{})
 		if err != nil {
 			return pt, err
 		}

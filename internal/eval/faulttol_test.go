@@ -78,7 +78,7 @@ func TestSeededScheduleAcceptance(t *testing.T) {
 		defer l.Close()
 		go l.Serve(func(c *netsim.Conn) {
 			defer c.Close()
-			if _, err := attest.Respond(rig.target, rig.tShim, rig.hostT, c); err != nil {
+			if _, err := attest.Respond(nil, "", rig.target, rig.tShim, rig.hostT, c); err != nil {
 				return
 			}
 			for {
@@ -97,7 +97,7 @@ func TestSeededScheduleAcceptance(t *testing.T) {
 		defer rig.net.SetFaults(nil)
 		dial := func() (*netsim.Conn, error) { return rig.hostC.Dial("target-host", "app") }
 		conn, _, id, retries, err := attest.ChallengeRetry(
-			rig.challenger, rig.cShim, rig.cState, dial, true, pol)
+			nil, "", rig.challenger, rig.cShim, rig.cState, dial, true, pol)
 		if err != nil {
 			t.Fatalf("attestation under partition (replay: %s): %v", fs, err)
 		}

@@ -3,9 +3,7 @@ package load
 import (
 	"fmt"
 
-	"sgxnet/internal/attest"
 	"sgxnet/internal/core"
-	"sgxnet/internal/netsim"
 	"sgxnet/internal/sdnctl"
 	"sgxnet/internal/tlslite"
 	"sgxnet/internal/topo"
@@ -249,80 +247,37 @@ const sdnASes = 6
 // re-fetching its routes — the steady-state "data plane asks the
 // control plane" exchange.
 type SDNRig struct {
-	net    *netsim.Network
-	ctl    *sdnctl.Controller
-	locals []*sdnctl.ASLocal
+	d      *sdnctl.Deployment
 	meters []*core.Meter
 }
 
-// NewSDNRig deploys, attests, uploads, and computes, then drains every
-// meter so Serve tallies are pure steady-state fetch work.
+// NewSDNRig deploys and attests (sdnctl.Deploy), uploads, and computes,
+// then drains every meter so Serve tallies are pure steady-state fetch
+// work.
 func NewSDNRig() (_ *SDNRig, err error) {
 	tp, err := topo.Random(topo.Config{N: sdnASes, Seed: 42, PrefJitter: true})
 	if err != nil {
 		return nil, err
 	}
-	n := tp.N()
-	net := netsim.New()
-	r := &SDNRig{net: net}
+	d, err := sdnctl.Deploy(tp, sdnctl.SGXConfig{})
+	if err != nil {
+		return nil, err
+	}
 	defer func() {
 		if err != nil {
-			r.Close()
+			d.Close()
 		}
 	}()
-	arch, err := core.NewSigner()
-	if err != nil {
-		return nil, err
-	}
-	newHost := func(name string) (*netsim.SimHost, error) {
-		plat, err := core.NewPlatform(name, core.PlatformConfig{EPCFrames: 4096, ArchSigner: arch.MRSigner()})
-		if err != nil {
-			return nil, err
-		}
-		return net.AddHostWithPlatform(name, plat)
-	}
-	ctlHost, err := newHost("controller")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := attest.NewAgent(ctlHost, arch); err != nil {
-		return nil, err
-	}
-	signer, err := core.NewSigner()
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := sdnctl.LaunchController(ctlHost, signer, n)
-	if err != nil {
-		return nil, err
-	}
-	r.ctl = ctl
-	ctlMR := sdnctl.ControllerMeasurement(n)
-	policies := sdnctl.PoliciesFromTopology(tp)
-	for a := 0; a < n; a++ {
-		host, err := newHost(fmt.Sprintf("as%d", a))
-		if err != nil {
-			return nil, err
-		}
-		asl, err := sdnctl.LaunchASLocal(host, signer, policies[a], ctlMR)
-		if err != nil {
-			return nil, err
-		}
-		r.locals = append(r.locals, asl)
-	}
-	for _, asl := range r.locals {
-		if err := asl.Connect("controller"); err != nil {
-			return nil, err
-		}
+	for _, asl := range d.Locals {
 		if err := asl.Upload(); err != nil {
 			return nil, err
 		}
 	}
-	if err := ctl.Compute(); err != nil {
+	if err := d.Controller.Compute(); err != nil {
 		return nil, err
 	}
-	r.meters = []*core.Meter{ctl.Enclave.Meter()}
-	for _, asl := range r.locals {
+	r := &SDNRig{d: d, meters: []*core.Meter{d.Controller.Enclave.Meter()}}
+	for _, asl := range d.Locals {
 		r.meters = append(r.meters, asl.Enclave.Meter())
 	}
 	for _, m := range r.meters {
@@ -334,7 +289,7 @@ func NewSDNRig() (_ *SDNRig, err error) {
 // Serve has AS (i mod n) fetch its computed routes from the controller.
 func (r *SDNRig) Serve(i int) (core.Tally, error) {
 	var t core.Tally
-	if err := r.locals[i%len(r.locals)].Fetch(); err != nil {
+	if err := r.d.Locals[i%len(r.d.Locals)].Fetch(); err != nil {
 		return t, err
 	}
 	for _, m := range r.meters {
@@ -343,16 +298,8 @@ func (r *SDNRig) Serve(i int) (core.Tally, error) {
 	return t, nil
 }
 
-// Close shuts the deployment down, its network last.
-func (r *SDNRig) Close() {
-	for _, asl := range r.locals {
-		asl.Close()
-	}
-	if r.ctl != nil {
-		r.ctl.Close()
-	}
-	r.net.Close()
-}
+// Close tears the deployment down.
+func (r *SDNRig) Close() { r.d.Close() }
 
 // --- Antagonists ---
 

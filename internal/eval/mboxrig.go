@@ -41,24 +41,10 @@ func NewMboxRig(nMbox int) (_ *MboxRig, err error) {
 		return nil, err
 	}
 	r.arch = arch
-	newHost := func(name string) (*netsim.SimHost, error) {
-		plat, err := core.NewPlatform(name, core.PlatformConfig{EPCFrames: 512, ArchSigner: arch.MRSigner()})
-		if err != nil {
-			return nil, err
-		}
-		h, err := r.Net.AddHostWithPlatform(name, plat)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := attest.NewAgent(h, arch); err != nil {
-			return nil, err
-		}
-		return h, nil
-	}
-	if r.Client, err = newHost("client"); err != nil {
+	if r.Client, _, err = attest.NewSGXHost(r.Net, "client", arch); err != nil {
 		return nil, err
 	}
-	if r.Server, err = newHost("server"); err != nil {
+	if r.Server, _, err = attest.NewSGXHost(r.Net, "server", arch); err != nil {
 		return nil, err
 	}
 	sl, err := r.Server.Listen("tls")
@@ -84,7 +70,7 @@ func NewMboxRig(nMbox int) (_ *MboxRig, err error) {
 
 	next := "server|tls"
 	for i := nMbox - 1; i >= 0; i-- {
-		host, err := newHost(fmt.Sprintf("mbox%d", i))
+		host, _, err := attest.NewSGXHost(r.Net, fmt.Sprintf("mbox%d", i), arch)
 		if err != nil {
 			return nil, err
 		}
@@ -156,15 +142,8 @@ func (r *MboxRig) ProvisionAll(tr *obs.Trace, track string) (int, error) {
 // host of this rig (pointing at the server directly). Its quote will
 // carry a non-whitelisted measurement.
 func (r *MboxRig) AddTamperedMbox(name string) (*middlebox.Middlebox, error) {
-	plat, err := core.NewPlatform(name, core.PlatformConfig{EPCFrames: 512, ArchSigner: r.arch.MRSigner()})
+	host, _, err := attest.NewSGXHost(r.Net, name, r.arch)
 	if err != nil {
-		return nil, err
-	}
-	host, err := r.Net.AddHostWithPlatform(name, plat)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := attest.NewAgent(host, r.arch); err != nil {
 		return nil, err
 	}
 	return middlebox.Launch(host, middlebox.Config{

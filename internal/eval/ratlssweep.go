@@ -124,9 +124,7 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 	if err != nil {
 		return pt, err
 	}
-	plat, err := core.NewPlatform("ratls-sweep", core.PlatformConfig{
-		EPCFrames: 1024, ArchSigner: arch.MRSigner(), Seed: []byte(track),
-	})
+	plat, err := core.NewPlatform("ratls-sweep", core.PlatformConfig{ArchSigner: arch.MRSigner(), Seed: []byte(track)})
 	if err != nil {
 		return pt, err
 	}

@@ -35,18 +35,19 @@ type Runner struct {
 	series  *series.Set
 }
 
-// NewRunner builds a pool with the given parallelism; workers <= 0
-// means GOMAXPROCS. Workers == 1 degrades to strictly serial execution
-// (the reference the equivalence tests compare against).
+// NewRunner builds a pool that runs at most workers scenarios at once;
+// workers <= 0 means GOMAXPROCS. Workers == 1 degrades to strictly
+// serial execution (the reference the equivalence tests compare
+// against). The calling goroutine is one of the workers: it runs every
+// task no slot is free for, so the pool holds workers-1 slots. Host
+// memory peaks with the scenarios live at once; the bound caps how many
+// that is.
 func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{workers: workers, sem: make(chan struct{}, workers)}
+	return &Runner{workers: workers, sem: make(chan struct{}, workers-1)}
 }
-
-// Workers returns the pool's parallelism bound.
-func (r *Runner) Workers() int { return r.workers }
 
 // SetTrace attaches a trace: scenario runs record their phases as spans
 // on per-scenario tracks. Concurrent legs always use distinct tracks and
@@ -55,9 +56,6 @@ func (r *Runner) Workers() int { return r.workers }
 // the first scenario; a nil trace (the default) keeps every span
 // recorder on its no-op path.
 func (r *Runner) SetTrace(tr *obs.Trace) { r.trace = tr }
-
-// Trace returns the attached trace, or nil.
-func (r *Runner) Trace() *obs.Trace { return r.trace }
 
 // SetSeries attaches a windowed time-series set: instrumented sweeps
 // (load, EPC, xcall, scale) sample per-window counters and gauges on
@@ -68,9 +66,6 @@ func (r *Runner) Trace() *obs.Trace { return r.trace }
 // byte-identical at any worker count. Nil (the default) keeps every
 // sampler on its no-op path.
 func (r *Runner) SetSeries(s *series.Set) { r.series = s }
-
-// Series returns the attached series set, or nil.
-func (r *Runner) Series() *series.Set { return r.series }
 
 // mapOrdered runs fn(0..n-1) on the runner and returns the results in
 // input order. The first error wins (by index, not by completion time,

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The engine's contract: fan-out changes wall-clock interleaving only.
@@ -59,6 +60,34 @@ func TestMapOrderedRunsEveryIndexOnce(t *testing.T) {
 	for i := range calls {
 		if n := calls[i].Load(); n != 1 {
 			t.Errorf("index %d ran %d times", i, n)
+		}
+	}
+}
+
+// TestRunnerBoundsConcurrency: a Runner of w workers never runs more
+// than w scenarios at once, counting the caller, through nested fan-out
+// (points across the pool, a pair inside each point) as in Figure 3.
+func TestRunnerBoundsConcurrency(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		r := NewRunner(workers)
+		var running, peak atomic.Int32
+		leg := func() (struct{}, error) {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(2 * time.Millisecond)
+			running.Add(-1)
+			return struct{}{}, nil
+		}
+		_, err := mapOrdered(r, 16, func(int) (struct{}, error) {
+			_, _, err := pair(r, leg, leg)
+			return struct{}{}, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := int(peak.Load()); p > workers {
+			t.Errorf("workers=%d: %d scenarios ran at once", workers, p)
 		}
 	}
 }

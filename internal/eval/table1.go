@@ -46,27 +46,12 @@ func newAttestRig() (_ *attestRig, err error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(name string) (*netsim.SimHost, *attest.Agent, error) {
-		plat, err := core.NewPlatform(name, core.PlatformConfig{EPCFrames: 512, ArchSigner: arch.MRSigner()})
-		if err != nil {
-			return nil, nil, err
-		}
-		h, err := r.net.AddHostWithPlatform(name, plat)
-		if err != nil {
-			return nil, nil, err
-		}
-		agent, err := attest.NewAgent(h, arch)
-		if err != nil {
-			return nil, nil, err
-		}
-		return h, agent, nil
-	}
-	r.hostT, r.agentT, err = mk("target-host")
+	r.hostT, r.agentT, err = attest.NewSGXHost(r.net, "target-host", arch)
 	if err != nil {
 		return nil, err
 	}
 	r.quoting = r.agentT.QE
-	r.hostC, _, err = mk("challenger-host")
+	r.hostC, _, err = attest.NewSGXHost(r.net, "challenger-host", arch)
 	if err != nil {
 		return nil, err
 	}
@@ -129,14 +114,14 @@ func (r *attestRig) run(tr *obs.Trace, trackBase string, wantDH bool) (target, q
 			errc <- err
 			return
 		}
-		_, err = attest.RespondTrace(tr, trackBase+"/target", r.target, r.tShim, r.hostT, sc)
+		_, err = attest.Respond(tr, trackBase+"/target", r.target, r.tShim, r.hostT, sc)
 		errc <- err
 	}()
 	conn, err := r.hostC.Dial("target-host", "app")
 	if err != nil {
 		return
 	}
-	if _, _, err = attest.ChallengeTrace(tr, trackBase+"/challenger", r.challenger, r.cShim, conn, wantDH); err != nil {
+	if _, _, err = attest.Challenge(tr, trackBase+"/challenger", r.challenger, r.cShim, conn, wantDH); err != nil {
 		return
 	}
 	if err = <-errc; err != nil {

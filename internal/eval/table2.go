@@ -81,11 +81,11 @@ func senderProgram() *core.Program {
 func MeasureSend(tr *obs.Trace, track string, count int, withCrypto bool) (core.Tally, error) {
 	n := netsim.New()
 	defer n.Close()
-	src, err := n.AddHost("src", core.PlatformConfig{EPCFrames: 128})
+	src, err := n.AddHost("src", core.PlatformConfig{})
 	if err != nil {
 		return core.Tally{}, err
 	}
-	dst, err := n.AddHost("dst", core.PlatformConfig{EPCFrames: 128})
+	dst, err := n.AddHost("dst", core.PlatformConfig{})
 	if err != nil {
 		return core.Tally{}, err
 	}

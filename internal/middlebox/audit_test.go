@@ -32,7 +32,7 @@ func TestProvisionWrongLengthChargesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	cid, _, err := attest.Challenge(f.endpoint, f.epShim, conn, true)
+	cid, _, err := attest.Challenge(nil, "", f.endpoint, f.epShim, conn, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,7 +295,7 @@ func (mb *Middlebox) serveData(down *netsim.Conn) {
 
 // serveCtl answers attestation + provisioning on the control plane.
 func (mb *Middlebox) serveCtl(conn *netsim.Conn) {
-	cid, err := attest.Respond(mb.enclave, mb.shim, mb.Host, conn)
+	cid, err := attest.Respond(nil, "", mb.enclave, mb.shim, mb.Host, conn)
 	if err != nil {
 		conn.Close()
 		return
@@ -331,7 +331,7 @@ func Provision(endpoint *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost
 		return false, err
 	}
 	defer conn.Close()
-	cid, _, err := attest.Challenge(endpoint, shim, conn, true)
+	cid, _, err := attest.Challenge(nil, "", endpoint, shim, conn, true)
 	if err != nil {
 		return false, fmt.Errorf("middlebox: attestation failed: %w", err)
 	}

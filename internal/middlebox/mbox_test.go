@@ -122,15 +122,8 @@ func newMboxFixture(t *testing.T, nMbox int, requireBoth, tampered bool) *mboxFi
 	}
 	f.arch = arch
 	newHost := func(name string) *netsim.SimHost {
-		plat, err := core.NewPlatform(name, core.PlatformConfig{EPCFrames: 512, ArchSigner: arch.MRSigner()})
+		h, _, err := attest.NewSGXHost(f.net, name, arch)
 		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := f.net.AddHostWithPlatform(name, plat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := attest.NewAgent(h, arch); err != nil {
 			t.Fatal(err)
 		}
 		return h

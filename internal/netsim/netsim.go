@@ -414,10 +414,6 @@ func (c *Conn) Close() {
 // without putting a message on the wire.
 func (c *Conn) Key() any { return c.once }
 
-// LocalHost and RemoteHost name the endpoints.
-func (c *Conn) LocalHost() string  { return c.local }
-func (c *Conn) RemoteHost() string { return c.remote }
-
 // Request sends p and waits for a single reply — the request/response
 // idiom used by the controller protocols.
 func (c *Conn) Request(p []byte) ([]byte, error) {

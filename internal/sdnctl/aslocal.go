@@ -269,7 +269,7 @@ func LaunchASLocal(host *netsim.SimHost, signer *core.Signer, policy *PolicyMsg,
 func (a *ASLocal) Connect(controllerHost string) error {
 	a.ctlHost = controllerHost
 	if a.retry != nil {
-		conn, cid, _, retries, err := attest.ChallengeRetry(a.Enclave, a.Shim, a.State.Attest,
+		conn, cid, _, retries, err := attest.ChallengeRetry(nil, "", a.Enclave, a.Shim, a.State.Attest,
 			func() (*netsim.Conn, error) { return a.Host.Dial(controllerHost, ControllerService) },
 			true, *a.retry)
 		a.Retries += retries
@@ -283,7 +283,7 @@ func (a *ASLocal) Connect(controllerHost string) error {
 	if err != nil {
 		return err
 	}
-	cid, _, err := attest.Challenge(a.Enclave, a.Shim, conn, true)
+	cid, _, err := attest.Challenge(nil, "", a.Enclave, a.Shim, conn, true)
 	if err != nil {
 		return fmt.Errorf("sdnctl: AS%d attestation of controller failed: %w", a.ASN, err)
 	}

@@ -53,20 +53,6 @@ func NewControllerState(n int) *ControllerState {
 	}
 }
 
-// PolicyCount reports how many policies have been uploaded.
-func (st *ControllerState) PolicyCount() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.policies)
-}
-
-// Computed reports whether routes have been computed.
-func (st *ControllerState) Computed() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.computed
-}
-
 // BoundASes reports how many ASes currently hold a live attested channel
 // binding — the controller's own view of deployment health, and what the
 // Degraded response flag is computed from.
@@ -351,7 +337,7 @@ func (st *ControllerState) Release(cid uint32) {
 func (c *Controller) SetRecvTimeout(d time.Duration) { c.Shim.SetRecvTimeout(d) }
 
 func (c *Controller) serveConn(conn *netsim.Conn) {
-	cid, err := attest.Respond(c.Enclave, c.Shim, c.Host, conn)
+	cid, err := attest.Respond(nil, "", c.Enclave, c.Shim, c.Host, conn)
 	if err != nil {
 		conn.Close()
 		return

@@ -70,43 +70,39 @@ func TestDynamicLinkFailure(t *testing.T) {
 	}
 	wantRIBs, _ := bgp.ComputeAll(reduced)
 
-	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
-		pols := PoliciesFromTopology(tp)
-		// The link fails: both sides reconfigure and re-upload.
-		if err := locals[a].Reconfigure(dropNeighbor(pols[a], b)); err != nil {
-			return err
-		}
-		if err := locals[b].Reconfigure(dropNeighbor(pols[b], a)); err != nil {
-			return err
-		}
-		// Routes were invalidated by the re-uploads: the controller must
-		// refuse fetches until the next compute.
-		if resp, err := locals[a].Do(&Request{GetRoutes: true}); err != nil {
-			return err
-		} else if resp.Err == "" {
-			t.Fatal("controller served stale routes after a policy change")
-		}
-		if err := ctl.Compute(); err != nil {
-			return err
-		}
-		for _, l := range locals {
-			if err := l.Fetch(); err != nil {
-				return err
-			}
-			for _, r := range l.State.Installed() {
-				want, ok := wantRIBs[l.ASN][r.Dest]
-				if !ok || !want.Equal(r) {
-					t.Fatalf("AS%d route to %d after failure: %v, want %v", l.ASN, r.Dest, r, want)
-				}
-			}
-			if len(l.State.Installed()) != len(wantRIBs[l.ASN]) {
-				t.Fatalf("AS%d has %d routes, want %d", l.ASN, len(l.State.Installed()), len(wantRIBs[l.ASN]))
-			}
-		}
-		return nil
-	}})
-	if err != nil {
+	d, _ := deployed(t, tp, SGXConfig{})
+	locals := d.Locals
+	pols := PoliciesFromTopology(tp)
+	// The link fails: both sides reconfigure and re-upload.
+	if err := locals[a].Reconfigure(dropNeighbor(pols[a], b)); err != nil {
 		t.Fatal(err)
+	}
+	if err := locals[b].Reconfigure(dropNeighbor(pols[b], a)); err != nil {
+		t.Fatal(err)
+	}
+	// Routes were invalidated by the re-uploads: the controller must
+	// refuse fetches until the next compute.
+	if resp, err := locals[a].Do(&Request{GetRoutes: true}); err != nil {
+		t.Fatal(err)
+	} else if resp.Err == "" {
+		t.Fatal("controller served stale routes after a policy change")
+	}
+	if err := d.Controller.Compute(); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range locals {
+		if err := l.Fetch(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range l.State.Installed() {
+			want, ok := wantRIBs[l.ASN][r.Dest]
+			if !ok || !want.Equal(r) {
+				t.Fatalf("AS%d route to %d after failure: %v, want %v", l.ASN, r.Dest, r, want)
+			}
+		}
+		if len(l.State.Installed()) != len(wantRIBs[l.ASN]) {
+			t.Fatalf("AS%d has %d routes, want %d", l.ASN, len(l.State.Installed()), len(wantRIBs[l.ASN]))
+		}
 	}
 }
 
@@ -114,14 +110,9 @@ func TestDynamicLinkFailure(t *testing.T) {
 // that would let the operator impersonate another AS.
 func TestReconfigRejectsASNChange(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGX(tp, SGXConfig{After: func(_ *Controller, locals []*ASLocal) error {
-		bad := &PolicyMsg{ASN: 2}
-		if err := locals[1].Reconfigure(bad); err == nil {
-			t.Fatal("ASN change accepted by the enclave")
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
+	d, _ := deployed(t, tp, SGXConfig{})
+	bad := &PolicyMsg{ASN: 2}
+	if err := d.Locals[1].Reconfigure(bad); err == nil {
+		t.Fatal("ASN change accepted by the enclave")
 	}
 }

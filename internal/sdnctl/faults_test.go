@@ -77,81 +77,73 @@ func TestRunSGXFaultedConvergesUnderFaults(t *testing.T) {
 
 func TestReattestAfterChannelLoss(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
-		locals[0].SetRetryPolicy(faultPolicy())
-		// Kill the attested channel under the AS; the next operation must
-		// re-attest the controller and then succeed transparently.
-		locals[0].conn.Close()
-		waitBound(t, ctl, 3)
-		resp, err := locals[0].Do(&Request{GetRoutes: true})
-		if err != nil {
-			t.Fatalf("Do after channel loss: %v", err)
-		}
-		if resp.Err != "" || resp.Routes == nil {
-			t.Fatalf("bad response after re-attest: %+v", resp)
-		}
-		if locals[0].Reattests != 1 {
-			t.Fatalf("Reattests = %d, want 1", locals[0].Reattests)
-		}
-		if resp.Degraded {
-			t.Fatal("fully reconnected deployment reported degraded")
-		}
-		// The re-established channel holds a session the controller knows.
-		if ctl.State.BoundASes() != 4 {
-			t.Fatalf("BoundASes = %d after re-attest, want 4", ctl.State.BoundASes())
-		}
-		return nil
-	}})
+	d, _ := deployed(t, tp, SGXConfig{})
+	ctl, asl := d.Controller, d.Locals[0]
+	asl.SetRetryPolicy(faultPolicy())
+	// Kill the attested channel under the AS; the next operation must
+	// re-attest the controller and then succeed transparently.
+	asl.conn.Close()
+	waitBound(t, ctl, 3)
+	resp, err := asl.Do(&Request{GetRoutes: true})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Do after channel loss: %v", err)
+	}
+	if resp.Err != "" || resp.Routes == nil {
+		t.Fatalf("bad response after re-attest: %+v", resp)
+	}
+	if asl.Reattests != 1 {
+		t.Fatalf("Reattests = %d, want 1", asl.Reattests)
+	}
+	if resp.Degraded {
+		t.Fatal("fully reconnected deployment reported degraded")
+	}
+	// The re-established channel holds a session the controller knows.
+	if ctl.State.BoundASes() != 4 {
+		t.Fatalf("BoundASes = %d after re-attest, want 4", ctl.State.BoundASes())
 	}
 }
 
 func TestDegradedRouteServingOnASLoss(t *testing.T) {
 	tp := canonicalTopo(t, 4)
 	pol := faultPolicy()
-	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
-		net := locals[0].Host.Network()
+	d, _ := deployed(t, tp, SGXConfig{})
+	locals := d.Locals
+	net := locals[0].Host.Network()
 
-		// An AS host crashes: its channel dies, the controller releases the
-		// binding, and the survivors keep being served — flagged degraded.
-		net.Crash("as3")
-		waitBound(t, ctl, 3)
-		resp, err := locals[0].Do(&Request{GetRoutes: true})
-		if err != nil {
-			t.Fatalf("Do during outage: %v", err)
-		}
-		if resp.Err != "" || resp.Routes == nil {
-			t.Fatalf("survivor was refused service during outage: %+v", resp)
-		}
-		if !resp.Degraded {
-			t.Fatal("response during an AS outage not flagged degraded")
-		}
+	// An AS host crashes: its channel dies, the controller releases the
+	// binding, and the survivors keep being served — flagged degraded.
+	net.Crash("as3")
+	waitBound(t, d.Controller, 3)
+	resp, err := locals[0].Do(&Request{GetRoutes: true})
+	if err != nil {
+		t.Fatalf("Do during outage: %v", err)
+	}
+	if resp.Err != "" || resp.Routes == nil {
+		t.Fatalf("survivor was refused service during outage: %+v", resp)
+	}
+	if !resp.Degraded {
+		t.Fatal("response during an AS outage not flagged degraded")
+	}
 
-		// The crashed AS comes back, re-attests, and the flag clears.
-		net.Restart("as3")
-		locals[3].SetRetryPolicy(pol)
-		if err := locals[3].Connect("controller"); err != nil {
-			t.Fatalf("reconnect after restart: %v", err)
-		}
-		back, err := locals[3].Do(&Request{GetRoutes: true})
-		if err != nil {
-			t.Fatalf("Do after restart: %v", err)
-		}
-		if back.Err != "" || back.Routes == nil {
-			t.Fatalf("restarted AS not served: %+v", back)
-		}
-		resp, err = locals[0].Do(&Request{GetRoutes: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Degraded {
-			t.Fatal("degraded flag stuck after full recovery")
-		}
-		return nil
-	}})
+	// The crashed AS comes back, re-attests, and the flag clears.
+	net.Restart("as3")
+	locals[3].SetRetryPolicy(pol)
+	if err := locals[3].Connect("controller"); err != nil {
+		t.Fatalf("reconnect after restart: %v", err)
+	}
+	back, err := locals[3].Do(&Request{GetRoutes: true})
+	if err != nil {
+		t.Fatalf("Do after restart: %v", err)
+	}
+	if back.Err != "" || back.Routes == nil {
+		t.Fatalf("restarted AS not served: %+v", back)
+	}
+	resp, err = locals[0].Do(&Request{GetRoutes: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if resp.Degraded {
+		t.Fatal("degraded flag stuck after full recovery")
 	}
 }
 

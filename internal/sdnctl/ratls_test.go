@@ -63,25 +63,21 @@ func (r *recordingInvalidator) InvalidatePeer(cid uint32) { r.calls = append(r.c
 // caches keyed to the old attestation cannot satisfy the new one.
 func TestReattestInvalidatesCachedVerdicts(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGX(tp, SGXConfig{After: func(ctl *Controller, locals []*ASLocal) error {
-		rec := &recordingInvalidator{}
-		locals[0].SetRetryPolicy(faultPolicy())
-		locals[0].SetInvalidator(rec)
-		oldConn := locals[0].connID
-		locals[0].conn.Close()
-		waitBound(t, ctl, 3)
-		if _, err := locals[0].Do(&Request{GetRoutes: true}); err != nil {
-			t.Fatalf("Do after channel loss: %v", err)
-		}
-		if locals[0].Reattests != 1 {
-			t.Fatalf("Reattests = %d, want 1", locals[0].Reattests)
-		}
-		if len(rec.calls) != 1 || rec.calls[0] != oldConn {
-			t.Fatalf("invalidator calls %v, want exactly one for conn %d", rec.calls, oldConn)
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
+	d, _ := deployed(t, tp, SGXConfig{})
+	asl := d.Locals[0]
+	rec := &recordingInvalidator{}
+	asl.SetRetryPolicy(faultPolicy())
+	asl.SetInvalidator(rec)
+	oldConn := asl.connID
+	asl.conn.Close()
+	waitBound(t, d.Controller, 3)
+	if _, err := asl.Do(&Request{GetRoutes: true}); err != nil {
+		t.Fatalf("Do after channel loss: %v", err)
+	}
+	if asl.Reattests != 1 {
+		t.Fatalf("Reattests = %d, want 1", asl.Reattests)
+	}
+	if len(rec.calls) != 1 || rec.calls[0] != oldConn {
+		t.Fatalf("invalidator calls %v, want exactly one for conn %d", rec.calls, oldConn)
 	}
 }

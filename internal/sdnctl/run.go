@@ -72,8 +72,8 @@ func (r *RunReport) ASLocalAvg() core.Tally {
 	return core.Tally{SGXU: sum.SGXU / uint64(len(r.ASLocal)), Normal: sum.Normal / uint64(len(r.ASLocal))}
 }
 
-// SGXConfig selects the variations of an SGX deployment run. The zero
-// value is the plain run behind Table 4.
+// SGXConfig selects the variations of an SGX deployment. The zero
+// value is the plain deployment behind Table 4.
 type SGXConfig struct {
 	// Faults, when set, is installed before the attestation phase, so it
 	// disturbs the whole run, and every controller is armed with Retry:
@@ -107,42 +107,43 @@ type SGXConfig struct {
 	// shards. The report's RATLSCold/RATLSWarm carry the split; under
 	// Faults, each re-establishment purges the cached verdict first.
 	RATLSShards int
-
-	// After, when set, receives the live controller and AS-local
-	// controllers once routes are installed and the Table 4 measurement
-	// window has closed — for predicate registration/verification
-	// (§3.1) or dynamic reconfiguration.
-	After func(ctl *Controller, locals []*ASLocal) error
 }
 
-// RunSGX deploys the SGX-enabled design on the given topology: one
-// controller host plus one host per AS, all SGX platforms with quoting
-// enclaves; every AS-local controller remote-attests the inter-domain
-// controller (with DH) before uploading its policy. The deployment is
-// torn down before RunSGX returns; SGXConfig.After sees it live.
-func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
+// Deployment is a live SGX deployment of the design, built by Deploy:
+// the inter-domain controller on an SGX host whose quoting enclave
+// serves the attestations, and one AS-local controller per AS on a
+// host of its own, each holding an attested channel to the controller.
+// Run measures it; until Close, the controllers stay live for predicate
+// registration and verification (§3.1) or dynamic reconfiguration.
+type Deployment struct {
+	Controller *Controller
+	Locals     []*ASLocal // indexed by ASN
+
+	cfg          SGXConfig
+	net          *netsim.Network
+	quoteServing core.Tally
+	quoteXcall   xcall.Stats
+	raStats      ratls.Stats
+}
+
+// Deploy launches the SGX-enabled design on the given topology and runs
+// its attestation phase: every AS-local controller remote-attests the
+// inter-domain controller (with DH) before any policy moves. On error,
+// whatever was built is torn down.
+func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 	tr, track := cfg.Trace, cfg.Track
 	n := t.N()
-	// Deferred first, so it runs last: after the controllers close and
-	// after every tally has been read.
-	net := netsim.New()
-	defer net.Close()
+	d := &Deployment{cfg: cfg, net: netsim.New()}
+	defer func() {
+		if err != nil {
+			d.Close()
+		}
+	}()
 	arch, err := core.NewSigner()
 	if err != nil {
 		return nil, err
 	}
-	newHost := func(name string) (*netsim.SimHost, error) {
-		plat, err := core.NewPlatform(name, core.PlatformConfig{EPCFrames: 4096, ArchSigner: arch.MRSigner()})
-		if err != nil {
-			return nil, err
-		}
-		return net.AddHostWithPlatform(name, plat)
-	}
-	ctlHost, err := newHost("controller")
-	if err != nil {
-		return nil, err
-	}
-	agent, err := attest.NewAgent(ctlHost, arch)
+	ctlHost, agent, err := attest.NewSGXHost(d.net, "controller", arch)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +170,7 @@ func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ctl.Close()
+	d.Controller = ctl
 
 	// RATLS deployments mint the controller's certificate at launch and
 	// share one verification cache across every AS — the per-connection
@@ -191,9 +192,8 @@ func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 		}, cfg.RATLSShards)
 	}
 	policies := PoliciesFromTopology(t)
-	locals := make([]*ASLocal, n)
 	for a := 0; a < n; a++ {
-		host, err := newHost(fmt.Sprintf("as%d", a))
+		host, err := d.net.AddHost(fmt.Sprintf("as%d", a), core.PlatformConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -201,8 +201,7 @@ func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		locals[a] = asl
-		defer asl.Close()
+		d.Locals = append(d.Locals, asl)
 	}
 
 	// Arm the deployment and install the disturbance plan before any
@@ -210,10 +209,10 @@ func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 	// exposed to it.
 	if cfg.Faults != nil {
 		ctl.SetRecvTimeout(cfg.Retry.RecvTimeout)
-		for _, asl := range locals {
+		for _, asl := range d.Locals {
 			asl.SetRetryPolicy(cfg.Retry)
 		}
-		net.SetFaults(cfg.Faults)
+		d.net.SetFaults(cfg.Faults)
 	}
 
 	// Attestation phase (one remote attestation per AS controller). In
@@ -221,8 +220,7 @@ func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 	// admission first — cold for the first AS, warm for the rest — and
 	// every AS's re-establishment hook purges the certificate's cached
 	// verdict, so a lost channel forces a full re-verification.
-	attestations := 0
-	for _, asl := range locals {
+	for _, asl := range d.Locals {
 		if raVerifier != nil {
 			if _, err := raVerifier.Admit(asl.Enclave.Meter(), raCert, "controller"); err != nil {
 				return nil, fmt.Errorf("sdnctl: AS%d refused controller certificate: %w", asl.ASN, err)
@@ -232,105 +230,73 @@ func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
 		if err := asl.Connect("controller"); err != nil {
 			return nil, err
 		}
-		attestations++
 		tr.Event(track, "attest.established", map[string]string{"as": fmt.Sprint(asl.ASN)})
 	}
-	var raStats ratls.Stats
 	if raVerifier != nil {
-		raStats = raVerifier.Stats()
+		d.raStats = raVerifier.Stats()
 	}
 	// The attestation phase is the quoting enclave's whole workload:
 	// drain its rings at the boundary and capture its serving tally.
 	if err := agent.FlushXcall(); err != nil {
 		return nil, err
 	}
-	quoteServing := agent.QE.Meter().Snapshot()
-	quoteXcall := agent.XcallStats()
+	d.quoteServing = agent.QE.Meter().Snapshot()
+	d.quoteXcall = agent.XcallStats()
+	return d, nil
+}
 
-	// Steady state begins here: drain every meter so launch/attestation
-	// costs are excluded, as in Table 4. SnapshotAndReset guarantees
-	// setup and steady tallies partition the meters' lifetime
-	// consumption exactly, which is what lets the trace
-	// attribute the whole run; the drained tallies become the "setup"
-	// span.
-	var setup core.Tally
-	setup = setup.Add(ctl.Enclave.Meter().SnapshotAndReset())
-	for _, asl := range locals {
-		setup = setup.Add(asl.Enclave.Meter().SnapshotAndReset())
-	}
-	tr.RecordSpan(track, "setup", setup)
-
-	// The steady-state phase spans watch every reported meter, so their
-	// three deltas sum exactly to the tallies the report publishes.
-	meters := make([]*core.Meter, 0, n+1)
-	meters = append(meters, ctl.Enclave.Meter())
-	for _, asl := range locals {
+// Run measures the deployment's steady state — policy upload → route
+// computation → route push-back — and reports per-controller tallies
+// with launch and attestation excluded, as Table 4 does. Call it once.
+func (d *Deployment) Run() (*RunReport, error) {
+	meters := make([]*core.Meter, 0, len(d.Locals)+1)
+	meters = append(meters, d.Controller.Enclave.Meter())
+	for _, asl := range d.Locals {
 		meters = append(meters, asl.Enclave.Meter())
 	}
-
-	sp := tr.Begin(track, "phase.upload", meters...)
-	for _, asl := range locals {
-		if err := asl.Upload(); err != nil {
-			return nil, err
-		}
-	}
-	sp.End()
-	sp = tr.Begin(track, "phase.compute", meters...)
-	if err := ctl.Compute(); err != nil {
+	rep, err := runPhases(d.cfg.Trace, d.cfg.Track, meters, d.Controller, d.Locals)
+	if err != nil {
 		return nil, err
 	}
-	sp.End()
-	sp = tr.Begin(track, "phase.fetch", meters...)
-	for _, asl := range locals {
-		if err := asl.Fetch(); err != nil {
-			return nil, err
-		}
-	}
-	sp.End()
-	// The controller replies from inside its calls: let their closing
-	// charges land before the tallies are read (the span settles only
-	// when tracing).
-	for _, m := range meters {
-		m.Settle()
-	}
-
-	rep := &RunReport{
-		N:            n,
-		InterDomain:  ctl.Enclave.Meter().Snapshot(),
-		Attestations: attestations,
-		Stats:        ctl.State.Stats(),
-		RIBs:         ctl.State.RIBs(),
-		Installed:    make(map[int][]bgp.Route, n),
-		QuoteServing: quoteServing,
-		QuoteXcall:   quoteXcall,
-		RATLSCold:    raStats.Cold,
-		RATLSWarm:    raStats.Warm,
-	}
-	for _, asl := range locals {
-		rep.ASLocal = append(rep.ASLocal, asl.Enclave.Meter().Snapshot())
+	rep.Attestations = len(d.Locals)
+	rep.Stats = d.Controller.State.Stats()
+	rep.RIBs = d.Controller.State.RIBs()
+	rep.QuoteServing = d.quoteServing
+	rep.QuoteXcall = d.quoteXcall
+	rep.RATLSCold, rep.RATLSWarm = d.raStats.Cold, d.raStats.Warm
+	for _, asl := range d.Locals {
 		rep.Installed[asl.ASN] = asl.State.Installed()
 		rep.Retries += asl.Retries
 		rep.Reattests += asl.Reattests
 	}
-	if tr != nil {
-		// The independently-reported total the analyzer attributes spans
-		// against: everything the published meters consumed, setup
-		// included.
-		total := setup.Add(rep.InterDomain)
-		for _, t := range rep.ASLocal {
-			total = total.Add(t)
-		}
-		tr.Total(track, "run.total", total)
-	}
-	if cfg.Faults != nil {
-		rep.FaultStats = cfg.Faults.Stats()
-	}
-	if cfg.After != nil {
-		if err := cfg.After(ctl, locals); err != nil {
-			return nil, err
-		}
+	if d.cfg.Faults != nil {
+		rep.FaultStats = d.cfg.Faults.Stats()
 	}
 	return rep, nil
+}
+
+// Close tears the deployment down, its network last. Call it after the
+// last meter read.
+func (d *Deployment) Close() {
+	for _, asl := range d.Locals {
+		asl.Close()
+	}
+	if d.Controller != nil {
+		d.Controller.Close()
+	}
+	d.net.Close()
+}
+
+// RunSGX deploys the SGX-enabled design on the given topology, measures
+// it and tears it down: Deploy → Run → Close. Callers that need the
+// live controllers after the measurement call those three themselves.
+func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
+	d, err := Deploy(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	return d.Run()
 }
 
 // RunNative deploys the baseline on the same workload. A non-nil trace
@@ -342,7 +308,7 @@ func RunNative(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error
 	n := t.N()
 	net := netsim.New()
 	defer net.Close()
-	ctlHost, err := net.AddHost("controller", core.PlatformConfig{EPCFrames: 64})
+	ctlHost, err := net.AddHost("controller", core.PlatformConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -354,13 +320,15 @@ func RunNative(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error
 
 	policies := PoliciesFromTopology(t)
 	locals := make([]*NativeASLocal, n)
+	meters := []*core.Meter{ctlHost.Platform().HostMeter}
 	for a := 0; a < n; a++ {
-		host, err := net.AddHost(fmt.Sprintf("as%d", a), core.PlatformConfig{EPCFrames: 64})
+		host, err := net.AddHost(fmt.Sprintf("as%d", a), core.PlatformConfig{})
 		if err != nil {
 			return nil, err
 		}
 		locals[a] = NewNativeASLocal(host, policies[a])
 		defer locals[a].Close()
+		meters = append(meters, host.Platform().HostMeter)
 	}
 	for _, asl := range locals {
 		if err := asl.Connect("controller"); err != nil {
@@ -368,18 +336,41 @@ func RunNative(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error
 		}
 	}
 
-	var setup core.Tally
-	setup = setup.Add(ctlHost.Platform().HostMeter.SnapshotAndReset())
+	rep, err := runPhases(tr, track, meters, ctl, locals)
+	if err != nil {
+		return nil, err
+	}
+	rep.Stats = ctl.State.Stats()
+	rep.RIBs = ctl.State.RIBs()
 	for _, asl := range locals {
-		setup = setup.Add(asl.Host.Platform().HostMeter.SnapshotAndReset())
+		rep.Installed[asl.ASN] = asl.Installed()
+	}
+	return rep, nil
+}
+
+// phaseAS is what runPhases needs of an AS-local controller,
+// enclave-hosted or native.
+type phaseAS interface {
+	Upload() error
+	Fetch() error
+}
+
+// runPhases runs the steady state of both deployments, so their legs
+// cannot drift apart. meters holds the controller's meter, then
+// each AS's in locals' order. It drains them into the "setup" span —
+// SnapshotAndReset guarantees setup and steady tallies partition the
+// meters' lifetime consumption exactly, which is what lets the trace
+// attribute the whole run — then runs upload → compute → fetch under one
+// span each over every meter, so the three deltas sum exactly to the
+// tallies the report publishes, and records the "run.total" the analyzer
+// attributes the spans against: everything the meters consumed, setup
+// included. The report carries N, the tallies and an empty Installed.
+func runPhases[A phaseAS](tr *obs.Trace, track string, meters []*core.Meter, ctl interface{ Compute() error }, locals []A) (*RunReport, error) {
+	var setup core.Tally
+	for _, m := range meters {
+		setup = setup.Add(m.SnapshotAndReset())
 	}
 	tr.RecordSpan(track, "setup", setup)
-
-	meters := make([]*core.Meter, 0, n+1)
-	meters = append(meters, ctlHost.Platform().HostMeter)
-	for _, asl := range locals {
-		meters = append(meters, asl.Host.Platform().HostMeter)
-	}
 
 	sp := tr.Begin(track, "phase.upload", meters...)
 	for _, asl := range locals {
@@ -400,24 +391,24 @@ func RunNative(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error
 		}
 	}
 	sp.End()
+	// An enclave-hosted controller replies from inside its calls: let
+	// their closing charges land before the tallies are read (the span
+	// settles only when tracing).
+	for _, m := range meters {
+		m.Settle()
+	}
 
 	rep := &RunReport{
-		N:           n,
-		InterDomain: ctlHost.Platform().HostMeter.Snapshot(),
-		Stats:       ctl.State.Stats(),
-		RIBs:        ctl.State.RIBs(),
-		Installed:   make(map[int][]bgp.Route, n),
+		N:           len(locals),
+		InterDomain: meters[0].Snapshot(),
+		Installed:   make(map[int][]bgp.Route, len(locals)),
 	}
-	for _, asl := range locals {
-		rep.ASLocal = append(rep.ASLocal, asl.Host.Platform().HostMeter.Snapshot())
-		rep.Installed[asl.ASN] = asl.Installed()
+	total := setup.Add(rep.InterDomain)
+	for _, m := range meters[1:] {
+		t := m.Snapshot()
+		rep.ASLocal = append(rep.ASLocal, t)
+		total = total.Add(t)
 	}
-	if tr != nil {
-		total := setup.Add(rep.InterDomain)
-		for _, t := range rep.ASLocal {
-			total = total.Add(t)
-		}
-		tr.Total(track, "run.total", total)
-	}
+	tr.Total(track, "run.total", total)
 	return rep, nil
 }

@@ -17,6 +17,22 @@ func canonicalTopo(t testing.TB, n int) *topo.Topology {
 	return tp
 }
 
+// deployed deploys tp and runs the measured phases, leaving the
+// controllers live for the test; the deployment closes when it ends.
+func deployed(t *testing.T, tp *topo.Topology, cfg SGXConfig) (*Deployment, *RunReport) {
+	t.Helper()
+	d, err := Deploy(tp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	rep, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, rep
+}
+
 func TestPoliciesRoundTripThroughBuildTopology(t *testing.T) {
 	tp := canonicalTopo(t, 12)
 	pols := PoliciesFromTopology(tp)
@@ -171,51 +187,47 @@ func TestTable4(t *testing.T) {
 
 func TestPredicateVerificationFlow(t *testing.T) {
 	tp := canonicalTopo(t, 6)
-	// Deploy SGX run manually to keep the locals alive for predicates.
-	rep, err := RunSGX(tp, SGXConfig{After: func(_ *Controller, locals []*ASLocal) error {
-		// AS1 promises AS2 its routes avoid AS0; both register, AS2 verifies.
-		pred := Predicate{ID: "avoid-0", ASa: 1, ASb: 2, Kind: PredAvoids, Arg: 0}
-		if resp, err := locals[1].Do(&Request{Register: &pred}); err != nil || resp.Err != "" {
-			t.Fatalf("register by AS1: %v %s", err, resp.Err)
-		}
-		// Verification before both parties agreed must fail.
-		if resp, err := locals[2].Do(&Request{Verify: "avoid-0"}); err != nil {
-			t.Fatal(err)
-		} else if resp.Err == "" {
-			t.Fatal("verification allowed before both parties registered")
-		}
-		if resp, err := locals[2].Do(&Request{Register: &pred}); err != nil || resp.Err != "" {
-			t.Fatalf("register by AS2: %v %s", err, resp.Err)
-		}
-		resp, err := locals[2].Do(&Request{Verify: "avoid-0"})
-		if err != nil || resp.Verdict == nil {
-			t.Fatalf("verify: %v %+v", err, resp)
-		}
-		// Cross-check the verdict against ground truth.
-		ribs, _ := bgp.ComputeAll(tp)
-		want, _ := EvaluatePredicate(pred, tp, ribs)
-		if resp.Verdict.Holds != want {
-			t.Fatalf("verdict %v, ground truth %v", resp.Verdict.Holds, want)
-		}
-		// A non-party cannot verify.
-		if resp, err := locals[3].Do(&Request{Verify: "avoid-0"}); err != nil {
-			t.Fatal(err)
-		} else if resp.Err == "" {
-			t.Fatal("non-party verified a predicate")
-		}
-		// A non-party cannot register someone else's predicate.
-		if resp, err := locals[3].Do(&Request{Register: &pred}); err != nil {
-			t.Fatal(err)
-		} else if resp.Err == "" {
-			t.Fatal("non-party registered a predicate")
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The deployment stays live after the run for the predicates.
+	d, rep := deployed(t, tp, SGXConfig{})
 	if rep == nil {
 		t.Fatal("nil report")
+	}
+	locals := d.Locals
+	// AS1 promises AS2 its routes avoid AS0; both register, AS2 verifies.
+	pred := Predicate{ID: "avoid-0", ASa: 1, ASb: 2, Kind: PredAvoids, Arg: 0}
+	if resp, err := locals[1].Do(&Request{Register: &pred}); err != nil || resp.Err != "" {
+		t.Fatalf("register by AS1: %v %s", err, resp.Err)
+	}
+	// Verification before both parties agreed must fail.
+	if resp, err := locals[2].Do(&Request{Verify: "avoid-0"}); err != nil {
+		t.Fatal(err)
+	} else if resp.Err == "" {
+		t.Fatal("verification allowed before both parties registered")
+	}
+	if resp, err := locals[2].Do(&Request{Register: &pred}); err != nil || resp.Err != "" {
+		t.Fatalf("register by AS2: %v %s", err, resp.Err)
+	}
+	resp, err := locals[2].Do(&Request{Verify: "avoid-0"})
+	if err != nil || resp.Verdict == nil {
+		t.Fatalf("verify: %v %+v", err, resp)
+	}
+	// Cross-check the verdict against ground truth.
+	ribs, _ := bgp.ComputeAll(tp)
+	want, _ := EvaluatePredicate(pred, tp, ribs)
+	if resp.Verdict.Holds != want {
+		t.Fatalf("verdict %v, ground truth %v", resp.Verdict.Holds, want)
+	}
+	// A non-party cannot verify.
+	if resp, err := locals[3].Do(&Request{Verify: "avoid-0"}); err != nil {
+		t.Fatal(err)
+	} else if resp.Err == "" {
+		t.Fatal("non-party verified a predicate")
+	}
+	// A non-party cannot register someone else's predicate.
+	if resp, err := locals[3].Do(&Request{Register: &pred}); err != nil {
+		t.Fatal(err)
+	} else if resp.Err == "" {
+		t.Fatal("non-party registered a predicate")
 	}
 }
 
@@ -271,23 +283,18 @@ func TestEvaluatePredicateKinds(t *testing.T) {
 
 func TestASNBindingEnforced(t *testing.T) {
 	tp := canonicalTopo(t, 4)
-	_, err := RunSGX(tp, SGXConfig{After: func(_ *Controller, locals []*ASLocal) error {
-		// AS3 tries to fetch AS1's routes by lying about From. The
-		// enclave-side request path always stamps the true ASN, so we
-		// simulate a compromised AS-local *host* instead: it cannot forge
-		// sealed messages at all (no channel key). Here we check the
-		// controller-side guard directly through the generic path.
-		resp, err := locals[3].Do(&Request{GetRoutes: true})
-		if err != nil || resp.Routes == nil {
-			t.Fatalf("legit fetch failed: %v %+v", err, resp)
-		}
-		if resp.Routes.ASN != 3 {
-			t.Fatalf("controller returned AS%d's routes to AS3", resp.Routes.ASN)
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
+	d, _ := deployed(t, tp, SGXConfig{})
+	// AS3 tries to fetch AS1's routes by lying about From. The
+	// enclave-side request path always stamps the true ASN, so we
+	// simulate a compromised AS-local *host* instead: it cannot forge
+	// sealed messages at all (no channel key). Here we check the
+	// controller-side guard directly through the generic path.
+	resp, err := d.Locals[3].Do(&Request{GetRoutes: true})
+	if err != nil || resp.Routes == nil {
+		t.Fatalf("legit fetch failed: %v %+v", err, resp)
+	}
+	if resp.Routes.ASN != 3 {
+		t.Fatalf("controller returned AS%d's routes to AS3", resp.Routes.ASN)
 	}
 }
 

@@ -198,7 +198,7 @@ func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {
 			}
 			return cn, nil
 		}
-		cn, _, _, retries, err := attest.ChallengeRetry(c.enclave, c.shim, c.cstate, dial, true, *c.retry)
+		cn, _, _, retries, err := attest.ChallengeRetry(nil, "", c.enclave, c.shim, c.cstate, dial, true, *c.retry)
 		c.Retries += retries
 		c.Attestations += 1 + retries
 		if err != nil {
@@ -217,7 +217,7 @@ func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {
 				return nil, err
 			}
 			c.Attestations++
-			if _, _, err := attest.Challenge(c.enclave, c.shim, conn, true); err != nil {
+			if _, _, err := attest.Challenge(nil, "", c.enclave, c.shim, conn, true); err != nil {
 				conn.Close()
 				return nil, fmt.Errorf("tor: authority %s failed attestation: %w", authorityHost, err)
 			}
@@ -253,7 +253,7 @@ func (c *Client) AttestOR(d Descriptor) error {
 			}
 			return cn, nil
 		}
-		conn, _, _, retries, err := attest.ChallengeRetry(c.enclave, c.shim, c.cstate, dial, true, *c.retry)
+		conn, _, _, retries, err := attest.ChallengeRetry(nil, "", c.enclave, c.shim, c.cstate, dial, true, *c.retry)
 		c.Retries += retries
 		c.Attestations += 1 + retries
 		if err != nil {
@@ -271,7 +271,7 @@ func (c *Client) AttestOR(d Descriptor) error {
 		return err
 	}
 	c.Attestations++
-	if _, _, err := attest.Challenge(c.enclave, c.shim, conn, true); err != nil {
+	if _, _, err := attest.Challenge(nil, "", c.enclave, c.shim, conn, true); err != nil {
 		return fmt.Errorf("tor: OR %s failed attestation: %w", d.Name, err)
 	}
 	return nil

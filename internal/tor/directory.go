@@ -239,7 +239,7 @@ func (a *Authority) serveConn(conn *netsim.Conn) {
 		if !a.SGX || a.Killed() {
 			return
 		}
-		if _, err := attest.Respond(a.enclave, a.shim, a.Host, conn); err != nil {
+		if _, err := attest.Respond(nil, "", a.enclave, a.shim, a.Host, conn); err != nil {
 			return
 		}
 		first, err = conn.Recv()
@@ -361,7 +361,7 @@ func (a *Authority) AdmitByAttestation(d Descriptor) error {
 	a.Attestations++
 	tr, track := a.trace, a.trTrack
 	a.mu.Unlock()
-	if _, _, err := attest.ChallengeTrace(tr, track, a.enclave, a.shim, conn, true); err != nil {
+	if _, _, err := attest.Challenge(tr, track, a.enclave, a.shim, conn, true); err != nil {
 		return fmt.Errorf("tor: OR %s failed attestation: %w", d.Name, err)
 	}
 	raw, err := EncodeAny(d)

@@ -767,7 +767,7 @@ func (o *OR) serveConn(conn *netsim.Conn) {
 	}
 	if string(first) == "attest" && o.SGX {
 		// Serve one remote attestation as target, then close.
-		if _, err := attest.Respond(o.enclave, o.attestShim, o.Host, conn); err != nil {
+		if _, err := attest.Respond(nil, "", o.enclave, o.attestShim, o.Host, conn); err != nil {
 			conn.Close()
 		}
 		return

@@ -108,7 +108,7 @@ func Deploy(cfg NetworkConfig) (_ *TorNet, err error) {
 	tn.arch = arch
 
 	// Destination web server.
-	web, err := tn.Net.AddHost(WebHost, core.PlatformConfig{EPCFrames: 64})
+	web, err := tn.Net.AddHost(WebHost, core.PlatformConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -177,24 +177,11 @@ func (tn *TorNet) Close() { tn.Net.Close() }
 // newHost creates a host; SGX hosts get the architectural signer and a
 // quoting-enclave agent.
 func (tn *TorNet) newHost(name string, sgx bool) (*netsim.SimHost, error) {
-	cfg := core.PlatformConfig{EPCFrames: 1024}
-	if sgx {
-		cfg.ArchSigner = tn.arch.MRSigner()
+	if !sgx {
+		return tn.Net.AddHost(name, core.PlatformConfig{})
 	}
-	plat, err := core.NewPlatform(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	host, err := tn.Net.AddHostWithPlatform(name, plat)
-	if err != nil {
-		return nil, err
-	}
-	if sgx {
-		if _, err := attest.NewAgent(host, tn.arch); err != nil {
-			return nil, err
-		}
-	}
-	return host, nil
+	host, _, err := attest.NewSGXHost(tn.Net, name, tn.arch)
+	return host, err
 }
 
 // AddOR launches an OR, registers it per the deployment mode, and

@@ -77,26 +77,13 @@ func NewSigner() (*Signer, error) { return core.NewSigner() }
 // provisioned with the architectural signer and a running quoting
 // enclave, ready to serve remote attestations.
 func NewSGXHost(net *Network, name string, arch *Signer) (*Host, error) {
-	plat, err := core.NewPlatform(name, core.PlatformConfig{
-		EPCFrames:  1024,
-		ArchSigner: arch.MRSigner(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	host, err := net.AddHostWithPlatform(name, plat)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := attest.NewAgent(host, arch); err != nil {
-		return nil, err
-	}
-	return host, nil
+	host, _, err := attest.NewSGXHost(net, name, arch)
+	return host, err
 }
 
 // NewPlainHost adds a host without SGX (baseline machines, web servers).
 func NewPlainHost(net *Network, name string) (*Host, error) {
-	return net.AddHost(name, core.PlatformConfig{EPCFrames: 64})
+	return net.AddHost(name, core.PlatformConfig{})
 }
 
 // MeasureProgram computes the MRENCLAVE a program will have when
@@ -127,12 +114,12 @@ func NewIOShim(h *Host, m *Meter) *IOShim { return netsim.NewIOShim(h, m) }
 // Challenge drives the challenger side of a remote attestation over
 // conn; on success the enclave holds a Session for the returned connID.
 func Challenge(enc *Enclave, shim *IOShim, conn *Conn, wantDH bool) (uint32, Identity, error) {
-	return attest.Challenge(enc, shim, conn, wantDH)
+	return attest.Challenge(nil, "", enc, shim, conn, wantDH)
 }
 
 // Respond drives the target side of a remote attestation over conn.
 func Respond(enc *Enclave, shim *IOShim, host *Host, conn *Conn) (uint32, error) {
-	return attest.Respond(enc, shim, host, conn)
+	return attest.Respond(nil, "", enc, shim, host, conn)
 }
 
 // CyclesOf converts an instruction tally to estimated CPU cycles with
