@@ -282,6 +282,7 @@ func Respond(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim
 		return 0, err
 	}
 	qid := shim.Adopt(qconn)
+	defer shim.Forget(qid)
 	arg := make([]byte, 8)
 	binary.LittleEndian.PutUint32(arg[:4], cid)
 	binary.LittleEndian.PutUint32(arg[4:], qid)

@@ -121,10 +121,12 @@ func topUp(m *core.Meter, start core.Tally, base uint64) {
 type Agent struct {
 	Host *netsim.SimHost
 	QE   *core.Enclave
+	// Shim is the quoting enclave's message shim. It holds a quote
+	// connection only while that connection's serve runs.
+	Shim *netsim.IOShim
 
-	shim *netsim.IOShim
-	mh   *netsim.MultiHost
-	l    *netsim.Listener
+	mh *netsim.MultiHost
+	l  *netsim.Listener
 
 	// Switchless quote serving (SetXcall): serve requests enter through
 	// callRing instead of Enclave.Call, and the QE's message OCALLs ride
@@ -149,7 +151,7 @@ func (a *Agent) SetXcall(cfg xcall.Config) {
 	a.ocallRing = xcall.NewOCallRing(a.QE, a.mh, cfg)
 	a.QE.BindHost(a.ocallRing)
 	a.QE.SetSwitchlessOCalls(true)
-	a.shim.SetBatched(cfg.Batch)
+	a.Shim.SetBatched(cfg.Batch)
 }
 
 // FlushXcall drains the agent's rings and closes the shim's send
@@ -164,7 +166,7 @@ func (a *Agent) FlushXcall() error {
 	if err := a.ocallRing.Flush(); err != nil {
 		return err
 	}
-	a.shim.FlushBatch()
+	a.Shim.FlushBatch()
 	return nil
 }
 
@@ -211,7 +213,7 @@ func NewAgent(host *netsim.SimHost, archSigner *core.Signer) (*Agent, error) {
 		qe.Destroy()
 		return nil, err
 	}
-	a := &Agent{Host: host, QE: qe, shim: shim, mh: mh, l: l}
+	a := &Agent{Host: host, QE: qe, Shim: shim, mh: mh, l: l}
 	go l.Serve(a.serveConn)
 	return a, nil
 }
@@ -256,7 +258,8 @@ func (a *Agent) serveConn(c *netsim.Conn) {
 	done := make(chan struct{})
 	serving.Store(c.Key(), done)
 	defer serving.Delete(c.Key())
-	id := a.shim.Adopt(c)
+	id := a.Shim.Adopt(c)
+	defer a.Shim.Forget(id)
 	arg := netsim.EncodeSend(id, nil)
 	a.trMu.Lock()
 	tr, track := a.trace, a.trTrack

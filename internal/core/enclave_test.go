@@ -674,3 +674,25 @@ func TestConcurrentEnclaveCalls(t *testing.T) {
 		t.Fatalf("SGX(U)=%d, want %d", got, 2*workers*calls)
 	}
 }
+
+// BenchmarkLaunch launches and destroys a small enclave: ECREATE, seven
+// EADDs with their measurement, SIGSTRUCT signing, EINIT and EREMOVE.
+func BenchmarkLaunch(b *testing.B) {
+	p, err := NewPlatform("bench", PlatformConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	signer, err := NewSigner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := echoProgram()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e, err := p.Launch(prog, signer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Destroy()
+	}
+}

@@ -78,11 +78,14 @@ type EPCMEntry struct {
 // frame table (frames, epcm) reaches only the high-water mark of frames
 // ever handed out, and the free list (released) holds only frames given
 // back below that mark. A frame past the mark has never been used and
-// reads as invalid.
+// reads as invalid. A frame holds the sealed bytes of its plaintext up
+// to the last non-zero byte only: the rest of the page is zero, and a
+// sealed zero byte is the frame's keystream, so every full page the
+// model hands out (Read, ReadRaw, EWB) is rebuilt byte for byte.
 type EPC struct {
 	mu       sync.Mutex
 	size     int                     // configured frame count
-	frames   [][]byte                // sealed contents, up to the high-water mark
+	frames   [][]byte                // sealed contents (see store), up to the high-water mark
 	epcm     []EPCMEntry             // one entry per frame in frames
 	released []int                   // freed frames below the mark, reused last-in first-out
 	sealKey  [32]byte                // MEE key; lives only inside the CPU package
@@ -158,10 +161,7 @@ func (e *EPC) Alloc(owner EnclaveID, typ PageType, linAddr uint64, perms PagePer
 		return 0, ErrEPCFull
 	}
 	idx := e.take()
-	page := make([]byte, PageSize)
-	copy(page, plaintext)
-	e.seal(idx, page)
-	e.frames[idx] = page
+	e.store(idx, plaintext)
 	e.epcm[idx] = EPCMEntry{Valid: true, Type: typ, EnclaveID: owner, LinAddr: linAddr, Perms: perms}
 	return idx, nil
 }
@@ -173,10 +173,7 @@ func (e *EPC) Read(owner EnclaveID, idx int) ([]byte, error) {
 	if err := e.check(owner, idx, PermR); err != nil {
 		return nil, err
 	}
-	page := make([]byte, PageSize)
-	copy(page, e.frames[idx])
-	e.seal(idx, page) // unseal (XOR keystream is its own inverse)
-	return page, nil
+	return e.plaintext(idx), nil
 }
 
 // Write replaces a frame's plaintext on behalf of the owning enclave.
@@ -189,10 +186,7 @@ func (e *EPC) Write(owner EnclaveID, idx int, plaintext []byte) error {
 	if err := e.check(owner, idx, PermW); err != nil {
 		return err
 	}
-	page := make([]byte, PageSize)
-	copy(page, plaintext)
-	e.seal(idx, page)
-	e.frames[idx] = page
+	e.store(idx, plaintext)
 	return nil
 }
 
@@ -205,6 +199,7 @@ func (e *EPC) ReadRaw(idx int) ([]byte, bool) {
 		return nil, false
 	}
 	out := make([]byte, PageSize)
+	e.seal(idx, out) // the sealed zero tail: the frame's keystream
 	copy(out, e.frames[idx])
 	return out, true
 }
@@ -254,10 +249,33 @@ func (e *EPC) check(owner EnclaveID, idx int, need PagePerms) error {
 	return nil
 }
 
-// seal XORs the page with a frame-specific keystream derived from the MEE
-// key. XOR sealing is an emulation stand-in for AES-XTS memory encryption:
-// it is involutive (seal == unseal) and ensures raw frame reads never see
-// plaintext, which is the property the threat model needs.
+// store seals plaintext, at most PageSize bytes, into frame idx, keeping
+// it only up to its last non-zero byte. Caller holds e.mu.
+func (e *EPC) store(idx int, plaintext []byte) {
+	n := len(plaintext)
+	for n > 0 && plaintext[n-1] == 0 {
+		n--
+	}
+	sealed := make([]byte, n)
+	copy(sealed, plaintext)
+	e.seal(idx, sealed)
+	e.frames[idx] = sealed
+}
+
+// plaintext returns frame idx's whole page, unsealed: its stored bytes
+// unsealed, then zeros. Caller holds e.mu.
+func (e *EPC) plaintext(idx int) []byte {
+	page := make([]byte, PageSize)
+	n := copy(page, e.frames[idx])
+	e.seal(idx, page[:n]) // unseal (XOR keystream is its own inverse)
+	return page
+}
+
+// seal XORs the page, which starts at the frame's first byte, with a
+// frame-specific keystream derived from the MEE key. XOR sealing is an
+// emulation stand-in for AES-XTS memory encryption: it is involutive
+// (seal == unseal) and ensures raw frame reads never see plaintext,
+// which is the property the threat model needs.
 func (e *EPC) seal(idx int, page []byte) {
 	ks := e.keystream(idx)
 	for i := range page {
@@ -265,9 +283,8 @@ func (e *EPC) seal(idx int, page []byte) {
 	}
 }
 
-func (e *EPC) keystream(idx int) []byte {
+func (e *EPC) keystream(idx int) (ks [64]byte) {
 	// A 64-byte keystream mixed from the seal key and the frame index.
-	ks := make([]byte, 64)
 	for i := range ks {
 		ks[i] = e.sealKey[i%32] ^ byte(idx>>uint(8*(i%4))) ^ byte(i*131)
 	}

@@ -66,10 +66,7 @@ func (e *EPC) EWB(m *Meter, idx int) (*EvictedPage, error) {
 		h.p.Observe(KindEWB, 1)
 		h.p.Observe(KindPageEvict, 1)
 	}
-	// Recover plaintext from the sealed frame.
-	page := make([]byte, PageSize)
-	copy(page, e.frames[idx])
-	e.seal(idx, page)
+	page := e.plaintext(idx)
 
 	// Deterministic nonce: derived from the platform's paging key and a
 	// per-(enclave, address) eviction counter. Distinct evictions of the
@@ -188,8 +185,7 @@ func (e *EPC) ELDU(m *Meter, ep *EvictedPage) (int, error) {
 	cipher.NewCTR(block, nonce[:]).XORKeyStream(page, body[16+18:])
 
 	idx := e.take()
-	e.seal(idx, page)
-	e.frames[idx] = page
+	e.store(idx, page)
 	e.epcm[idx] = EPCMEntry{
 		Valid:     true,
 		Type:      PageType(meta[16]),

@@ -89,6 +89,15 @@ func (s *IOShim) Adopt(c *Conn) uint32 {
 	return id
 }
 
+// Forget drops a connID, so the shim no longer holds its connection. A
+// caller that adopted a connection for one exchange calls it when the
+// exchange ends; the connection itself is closed by its owner.
+func (s *IOShim) Forget(id uint32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.conns, id)
+}
+
 // Conn returns the connection behind a connID.
 func (s *IOShim) Conn(id uint32) (*Conn, bool) {
 	s.mu.Lock()

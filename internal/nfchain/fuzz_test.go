@@ -8,10 +8,11 @@ import (
 
 // FuzzChainRules fuzzes the rule-grammar trust boundary: operator-
 // supplied rule text crosses into the enclave, so the parser must never
-// panic, never exceed the table bound, and anything it does accept must
-// compile into an engine that terminates and charges exactly
-// CostRuleEval per examined rule. The checked-in corpus covers the
-// interesting shapes: a genuine table, a table-bound overflow, a
+// panic, never exceed the table bound, must agree with the reference
+// parser (rule for rule, or error text for error text), and anything it
+// does accept must compile into an engine that terminates and charges
+// exactly CostRuleEval per examined rule. The checked-in corpus covers
+// the interesting shapes: a genuine table, a table-bound overflow, a
 // duplicate rule, an unknown action, and a routing cycle.
 func FuzzChainRules(f *testing.F) {
 	f.Add("at classify match dst=23 -> drop\nat dpi match tag=malware -> drop\n")
@@ -20,7 +21,10 @@ func FuzzChainRules(f *testing.F) {
 	f.Add("at classify match proto=6,proto=6 -> terminate")
 	f.Add("at classify match * -> mirror:\x00")
 	f.Add("# comment only\n\n   \n")
+	f.Add("at dpi match tag=tls,dst=2 -> drop\nat dpi match dst=2,tag=tls -> drop")
+	f.Add("at dpi match * -> drop\r\nat dpi match flow=0,src=0 -> drop\n")
 	f.Fuzz(func(t *testing.T, text string) {
+		parsersAgree(t, text)
 		rules, err := Parse(text)
 		if err != nil {
 			return

@@ -2,7 +2,6 @@ package nfchain
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -75,33 +74,6 @@ type Match struct {
 	Tag      Tag
 }
 
-// canonical returns a normalized string form used for duplicate
-// detection: two rules with the same scope and the same predicate are a
-// configuration error regardless of key order in the source text.
-func (m Match) canonical() string {
-	if m.Wild {
-		return "*"
-	}
-	parts := make([]string, 0, 5)
-	if m.HasFlow {
-		parts = append(parts, fmt.Sprintf("flow=%d", m.Flow))
-	}
-	if m.HasSrc {
-		parts = append(parts, fmt.Sprintf("src=%d", m.Src))
-	}
-	if m.HasDst {
-		parts = append(parts, fmt.Sprintf("dst=%d", m.Dst))
-	}
-	if m.HasProto {
-		parts = append(parts, fmt.Sprintf("proto=%d", m.Proto))
-	}
-	if m.HasTag {
-		parts = append(parts, fmt.Sprintf("tag=%s", m.Tag))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
 // matches reports whether the packet satisfies every present field.
 func (m Match) matches(p *Packet) bool {
 	if m.Wild {
@@ -158,7 +130,9 @@ func parseMatch(spec string) (Match, error) {
 		m.Wild = true
 		return m, nil
 	}
-	for _, kv := range strings.Split(spec, ",") {
+	for rest, more := spec, true; more; {
+		var kv string
+		kv, rest, more = strings.Cut(rest, ",")
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
 			return Match{}, fmt.Errorf("match term %q is not key=value", kv)
@@ -220,11 +194,21 @@ func parseMatch(spec string) (Match, error) {
 // table bound, the line grammar, and rejects duplicate (scope,
 // predicate) pairs — everything that can be checked without knowing the
 // chain's stage list (Compile checks the rest).
+//
+// Two rules are duplicates when their stage and Match are equal: parsing
+// leaves absent fields zero, so Match equality ignores key order.
 func Parse(text string) ([]Rule, error) {
-	var rules []Rule
-	seen := make(map[string]int) // canonical (at, match) → line
-	for i, line := range strings.Split(text, "\n") {
-		lineNo := i + 1
+	type scoped struct {
+		at string
+		m  Match
+	}
+	n := min(strings.Count(text, "\n")+1, MaxRules)
+	rules := make([]Rule, 0, n)
+	seen := make(map[scoped]int, n) // (at, match) → line
+	for lineNo, more := 0, true; more; {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
+		lineNo++
 		if idx := strings.IndexByte(line, '#'); idx >= 0 {
 			line = line[:idx]
 		}
@@ -264,7 +248,7 @@ func Parse(text string) ([]Rule, error) {
 		if (r.Action == ActForward || r.Action == ActMirror) && r.Target == "" {
 			return nil, fmt.Errorf("line %d: %s needs a target stage", lineNo, r.Action)
 		}
-		key := r.At + " " + m.canonical()
+		key := scoped{r.At, m}
 		if prev, dup := seen[key]; dup {
 			return nil, fmt.Errorf("line %d: duplicate of rule on line %d (same stage and predicate)", lineNo, prev)
 		}

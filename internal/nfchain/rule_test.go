@@ -10,8 +10,7 @@ import (
 
 var testStages = []string{"classify", "filter", "dpi", "reencrypt"}
 
-func TestParseGrammar(t *testing.T) {
-	text := `
+const grammarText = `
 # deny-list
 at classify match dst=23 -> drop
 at classify match proto=17,flow=7 -> forward:dpi   # skip the filter
@@ -19,7 +18,9 @@ at classify match tag=dns -> mirror:dpi
 at filter match tag=blocked -> drop
 at dpi match * -> terminate
 `
-	rules, err := Parse(text)
+
+func TestParseGrammar(t *testing.T) {
+	rules, err := Parse(grammarText)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -40,25 +41,26 @@ at dpi match * -> terminate
 	}
 }
 
+var rejectCases = []struct {
+	name string
+	text string
+}{
+	{"unknown-action", "at classify match * -> reject"},
+	{"unknown-key", "at classify match port=80 -> drop"},
+	{"unknown-tag", "at classify match tag=voip -> drop"},
+	{"duplicate-key", "at classify match dst=80,dst=443 -> drop"},
+	{"overflow-flow", "at classify match flow=4294967296 -> drop"},
+	{"overflow-port", "at classify match dst=65536 -> drop"},
+	{"signed-number", "at classify match dst=-1 -> drop"},
+	{"hex-number", "at classify match dst=0x50 -> drop"},
+	{"missing-target", "at classify match * -> forward:"},
+	{"malformed-line", "classify match * -> drop"},
+	{"bare-term", "at classify match dst -> drop"},
+	{"duplicate-rule", "at classify match dst=80,proto=6 -> drop\nat classify match proto=6,dst=80 -> terminate"},
+}
+
 func TestParseRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		text string
-	}{
-		{"unknown-action", "at classify match * -> reject"},
-		{"unknown-key", "at classify match port=80 -> drop"},
-		{"unknown-tag", "at classify match tag=voip -> drop"},
-		{"duplicate-key", "at classify match dst=80,dst=443 -> drop"},
-		{"overflow-flow", "at classify match flow=4294967296 -> drop"},
-		{"overflow-port", "at classify match dst=65536 -> drop"},
-		{"signed-number", "at classify match dst=-1 -> drop"},
-		{"hex-number", "at classify match dst=0x50 -> drop"},
-		{"missing-target", "at classify match * -> forward:"},
-		{"malformed-line", "classify match * -> drop"},
-		{"bare-term", "at classify match dst -> drop"},
-		{"duplicate-rule", "at classify match dst=80,proto=6 -> drop\nat classify match proto=6,dst=80 -> terminate"},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectCases {
 		if _, err := Parse(tc.text); err == nil {
 			t.Errorf("%s: Parse accepted %q", tc.name, tc.text)
 		}
@@ -80,17 +82,18 @@ func TestParseTableBound(t *testing.T) {
 	}
 }
 
+var compileRejectCases = []struct {
+	name string
+	text string
+}{
+	{"unknown-stage", "at nat match * -> drop"},
+	{"unknown-target", "at classify match * -> forward:nat"},
+	{"self-cycle", "at dpi match * -> forward:dpi"},
+	{"backward-cycle", "at dpi match tag=tls -> mirror:classify"},
+}
+
 func TestCompileRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		text string
-	}{
-		{"unknown-stage", "at nat match * -> drop"},
-		{"unknown-target", "at classify match * -> forward:nat"},
-		{"self-cycle", "at dpi match * -> forward:dpi"},
-		{"backward-cycle", "at dpi match tag=tls -> mirror:classify"},
-	}
-	for _, tc := range cases {
+	for _, tc := range compileRejectCases {
 		rules, err := Parse(tc.text)
 		if err != nil {
 			t.Fatalf("%s: Parse failed: %v", tc.name, err)

@@ -121,6 +121,7 @@ type Deployment struct {
 
 	cfg          SGXConfig
 	net          *netsim.Network
+	agent        *attest.Agent // the controller host's quoting agent
 	quoteServing core.Tally
 	quoteXcall   xcall.Stats
 	raStats      ratls.Stats
@@ -147,6 +148,7 @@ func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 	if err != nil {
 		return nil, err
 	}
+	d.agent = agent
 	if tr != nil {
 		// The AS-local controllers attest serially, so the controller-host
 		// quoting enclave serves one request at a time — safe on one track.
