@@ -59,9 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sShim := sgxnet.NewMsgShim(serverHost, server.Meter())
-	var sHost sgxnet.MultiHost
-	sHost.Mount("msg.", sShim)
-	server.BindHost(&sHost)
+	server.BindHost(sShim)
 
 	// The client enclave: challenger role, pinning the server's
 	// community-verified measurement (the deterministic-build assumption
@@ -78,9 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cShim := sgxnet.NewMsgShim(clientHost, client.Meter())
-	var cHost sgxnet.MultiHost
-	cHost.Mount("msg.", cShim)
-	client.BindHost(&cHost)
+	client.BindHost(cShim)
 
 	// Wire up: the server accepts, attests as target, then serves sealed
 	// requests.

@@ -71,9 +71,7 @@ func newFixture(t *testing.T, policy Policy) *fixture {
 		t.Fatal(err)
 	}
 	f.tShim = netsim.NewMsgShim(f.hostT, f.target.Meter())
-	var mhT netsim.MultiHost
-	mhT.Mount("msg.", f.tShim)
-	f.target.BindHost(&mhT)
+	f.target.BindHost(f.tShim)
 
 	f.cState = NewChallengerState(policy)
 	f.challenger, err = f.hostC.Platform().Launch(challengerProgram(f.cState), signer)
@@ -81,9 +79,7 @@ func newFixture(t *testing.T, policy Policy) *fixture {
 		t.Fatal(err)
 	}
 	f.cShim = netsim.NewMsgShim(f.hostC, f.challenger.Meter())
-	var mhC netsim.MultiHost
-	mhC.Mount("msg.", f.cShim)
-	f.challenger.BindHost(&mhC)
+	f.challenger.BindHost(f.cShim)
 	return f
 }
 
@@ -236,9 +232,7 @@ func TestTamperedTargetRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	shim := netsim.NewMsgShim(f.hostT, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", shim)
-	enc.BindHost(&mh)
+	enc.BindHost(shim)
 	f.target, f.tShim = enc, shim
 
 	_, _, ce, _ := f.run(t, true)

@@ -125,45 +125,30 @@ type Agent struct {
 	// connection only while that connection's serve runs.
 	Shim *netsim.IOShim
 
-	mh *netsim.MultiHost
+	xb *xcall.Boundary // the quoting enclave's boundary (SetXcall)
 	l  *netsim.Listener
-
-	// Switchless quote serving (SetXcall): serve requests enter through
-	// callRing instead of Enclave.Call, and the QE's message OCALLs ride
-	// ocallRing instead of paying EEXIT/ERESUME each.
-	callRing  *xcall.CallRing
-	ocallRing *xcall.OCallRing
 
 	trMu    sync.Mutex
 	trace   *obs.Trace
 	trTrack string
 }
 
-// SetXcall switches the agent to switchless quote serving: ECALLs into
-// the quoting enclave and its message OCALLs both ride xcall rings
-// sized by cfg, and the message shim's sends use windowed batched
-// accounting. Call it right after NewAgent, before any requester
-// connects — the rings are installed without synchronization against
-// in-flight serves.
-func (a *Agent) SetXcall(cfg xcall.Config) {
-	cfg = cfg.WithDefaults()
-	a.callRing = xcall.NewCallRing(a.QE, cfg)
-	a.ocallRing = xcall.NewOCallRing(a.QE, a.mh, cfg)
-	a.QE.BindHost(a.ocallRing)
-	a.QE.SetSwitchlessOCalls(true)
-	a.Shim.SetBatched(cfg.Batch)
+// SetXcall sets the quoting enclave's boundary (xcall.Attach): with a
+// non-nil cfg, serve ECALLs and the QE's message OCALLs ride xcall
+// rings sized by cfg and the message shim's sends use windowed batched
+// accounting; nil, NewAgent's choice, keeps them synchronous. Call it
+// right after NewAgent, before any requester connects — the boundary
+// is installed without synchronization against in-flight serves.
+func (a *Agent) SetXcall(cfg *xcall.Config) {
+	a.xb = xcall.Attach(a.QE, cfg)
+	a.QE.BindHost(a.xb.Host(a.Shim))
+	a.Shim.SetBatched(a.xb.Batch())
 }
 
 // FlushXcall drains the agent's rings and closes the shim's send
 // window at a phase boundary. No-op when running synchronously.
 func (a *Agent) FlushXcall() error {
-	if a.callRing == nil {
-		return nil
-	}
-	if err := a.callRing.Flush(); err != nil {
-		return err
-	}
-	if err := a.ocallRing.Flush(); err != nil {
+	if err := a.xb.Flush(); err != nil {
 		return err
 	}
 	a.Shim.FlushBatch()
@@ -171,12 +156,7 @@ func (a *Agent) FlushXcall() error {
 }
 
 // XcallStats sums the agent's ring tallies (zero when synchronous).
-func (a *Agent) XcallStats() xcall.Stats {
-	if a.callRing == nil {
-		return xcall.Stats{}
-	}
-	return a.callRing.Stats().Add(a.ocallRing.Stats())
-}
+func (a *Agent) XcallStats() xcall.Stats { return a.xb.Stats() }
 
 // SetTrace makes the agent record a span per served quote request on
 // the given track, carrying the quoting enclave's tally delta. Set it
@@ -204,17 +184,13 @@ func NewAgent(host *netsim.SimHost, archSigner *core.Signer) (*Agent, error) {
 		qe.Destroy()
 		return nil, fmt.Errorf("attest: quoting enclave not architectural — platform ArchSigner mismatch")
 	}
-	shim := netsim.NewMsgShim(host, qe.Meter())
-	mh := &netsim.MultiHost{}
-	mh.Mount("msg.", shim)
-	qe.BindHost(mh)
-	l, err := host.Listen(QuoteService)
-	if err != nil {
+	a := &Agent{Host: host, QE: qe, Shim: netsim.NewMsgShim(host, qe.Meter())}
+	a.SetXcall(nil)
+	if a.l, err = host.Listen(QuoteService); err != nil {
 		qe.Destroy()
 		return nil, err
 	}
-	a := &Agent{Host: host, QE: qe, Shim: shim, mh: mh, l: l}
-	go l.Serve(a.serveConn)
+	go a.l.Serve(a.serveConn)
 	return a, nil
 }
 
@@ -265,12 +241,7 @@ func (a *Agent) serveConn(c *netsim.Conn) {
 	tr, track := a.trace, a.trTrack
 	a.trMu.Unlock()
 	before := a.QE.Meter().Snapshot()
-	var err error
-	if a.callRing != nil {
-		_, err = a.callRing.Call("serve", arg)
-	} else {
-		_, err = a.QE.Call("serve", arg)
-	}
+	_, err := a.xb.Call("serve", arg)
 	if tr != nil {
 		tr.RecordSpan(track, "attest.quote", a.QE.Meter().Snapshot().Sub(before))
 	}

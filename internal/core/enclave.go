@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Enclave construction and execution.
@@ -52,32 +51,10 @@ func (b *EnclaveBuilder) AddPage(linAddr uint64, typ PageType, perms PagePerms, 
 	return nil
 }
 
-// AddProgram loads a program image: one TCS page per entry point plus REG
-// pages holding the measured code image.
+// AddProgram loads a program image in the layout programPages walks:
+// a TCS page, the measured code image, then the data pages.
 func (b *EnclaveBuilder) AddProgram(prog *Program) error {
-	img := prog.Image()
-	if err := b.AddPage(0, PageTCS, PermR|PermW, []byte("TCS0")); err != nil {
-		return err
-	}
-	addr := uint64(PageSize)
-	for off := 0; off < len(img); off += PageSize {
-		end := off + PageSize
-		if end > len(img) {
-			end = len(img)
-		}
-		if err := b.AddPage(addr, PageREG, PermR|PermX, img[off:end]); err != nil {
-			return err
-		}
-		addr += PageSize
-	}
-	// Data/heap pages (unmeasured content, measured metadata).
-	for i := 0; i < 4; i++ {
-		if err := b.AddPage(addr, PageREG, PermR|PermW, nil); err != nil {
-			return err
-		}
-		addr += PageSize
-	}
-	return nil
+	return programPages(prog.Image(), b.AddPage)
 }
 
 // Measurement returns the MRENCLAVE accumulated so far.
@@ -185,6 +162,16 @@ type Host interface {
 	OCall(service string, arg []byte) ([]byte, error)
 }
 
+// IsSwitchless reports whether h serves service over a shared-memory
+// ring (internal/xcall) that charges its own crossings. A host says so
+// through an optional Switchless(service string) bool method; a host
+// without one is synchronous. Env.OCall asks it before charging the
+// crossing.
+func IsSwitchless(h Host, service string) bool {
+	s, ok := h.(interface{ Switchless(service string) bool })
+	return ok && s.Switchless(service)
+}
+
 // HostFunc adapts a function to the Host interface.
 type HostFunc func(service string, arg []byte) ([]byte, error)
 
@@ -208,11 +195,6 @@ type Enclave struct {
 
 	hostMu sync.RWMutex
 	host   Host
-
-	// switchlessOCalls suppresses the EEXIT/ERESUME charge in Env.OCall:
-	// the enclave's OCALLs ride a shared-memory ring (internal/xcall)
-	// whose drains account the amortized crossings instead.
-	switchlessOCalls atomic.Bool
 
 	destroyed sync.Once
 	dead      bool
@@ -303,12 +285,19 @@ func (e *Enclave) entry(fn string) (Handler, error) {
 	return h, nil
 }
 
-// SetSwitchlessOCalls toggles switchless OCALL accounting: when on,
-// Env.OCall stops charging the EEXIT/ERESUME pair (and stops reporting
-// the crossing kinds) because the enclave's host requests ride an xcall
-// ring that accounts amortized crossings at drain time. The dispatch
-// itself is unchanged — only who pays for the boundary moves.
-func (e *Enclave) SetSwitchlessOCalls(on bool) { e.switchlessOCalls.Store(on) }
+// ChargeOCall charges and reports one synchronous OCALL crossing: the
+// EEXIT out to the host and the ERESUME back, 2 SGX(U) on the enclave
+// meter. Env.OCall pays it before a synchronous host runs; an xcall
+// ring's fallback pays it after its host succeeded. Nothing else prices
+// an OCALL crossing.
+func (e *Enclave) ChargeOCall() {
+	e.meter.ChargeSGX(2) // EEXIT + ERESUME
+	if hp := e.plat.probe.Load(); hp != nil {
+		hp.p.Observe(KindEEXIT, 1)
+		hp.p.Observe(KindERESUME, 1)
+		hp.p.Observe(KindEnclaveOCall, 1)
+	}
+}
 
 // Destroy frees the enclave's EPC pages and then its SECS (EREMOVE) and
 // deregisters it. A destroyed enclave rejects further calls — the host
@@ -336,9 +325,12 @@ func (env *Env) Meter() *Meter { return env.e.meter }
 // ChargeNormal records modelled normal-instruction work.
 func (env *Env) ChargeNormal(n uint64) { env.e.meter.ChargeNormal(n) }
 
-// OCall leaves the enclave (EEXIT), invokes the untrusted host service,
-// and re-enters (ERESUME). The two ENCLU instructions are charged here;
-// services charge their own payload costs.
+// OCall is the one way enclave code reaches its host: it leaves the
+// enclave (EEXIT), invokes the untrusted host service, and re-enters
+// (ERESUME). The bound host decides whether the service crosses: a
+// synchronous one pays ChargeOCall here, before it runs; a switchless
+// one (IsSwitchless) rides a ring that charges its own. Services charge
+// their own payload costs.
 func (env *Env) OCall(service string, arg []byte) ([]byte, error) {
 	env.e.hostMu.RLock()
 	h := env.e.host
@@ -346,13 +338,8 @@ func (env *Env) OCall(service string, arg []byte) ([]byte, error) {
 	if h == nil {
 		return nil, ErrNoHost
 	}
-	if !env.e.switchlessOCalls.Load() {
-		env.e.meter.ChargeSGX(2) // EEXIT + ERESUME
-		if hp := env.e.plat.probe.Load(); hp != nil {
-			hp.p.Observe(KindEEXIT, 1)
-			hp.p.Observe(KindERESUME, 1)
-			hp.p.Observe(KindEnclaveOCall, 1)
-		}
+	if !IsSwitchless(h, service) {
+		env.e.ChargeOCall()
 	}
 	return h.OCall(service, arg)
 }

@@ -21,37 +21,44 @@ type measurer struct {
 		Write(p []byte) (int, error)
 		Sum(b []byte) []byte
 	}
+	rec [64]byte // record scratch, so no record escapes per write
 }
 
 const extendChunk = 256
 
+// zeroChunk is the zero tail of every page whose content ends before the
+// page does: a page is measured as its content followed by zeroes.
+var zeroChunk [extendChunk]byte
+
 func newMeasurer(size uint64) *measurer {
 	m := &measurer{h: sha256.New()}
-	var rec [64]byte
-	copy(rec[:8], "ECREATE\x00")
-	binary.LittleEndian.PutUint64(rec[8:16], size)
-	m.h.Write(rec[:])
+	copy(m.rec[:8], "ECREATE\x00")
+	binary.LittleEndian.PutUint64(m.rec[8:16], size)
+	m.h.Write(m.rec[:])
 	return m
 }
 
 // addPage folds an EADD record and the page's EEXTEND chunks into the
-// measurement.
+// measurement. Content beyond PageSize is not part of the page.
 func (m *measurer) addPage(linAddr uint64, typ PageType, perms PagePerms, content []byte) {
-	var rec [64]byte
-	copy(rec[:8], "EADD\x00\x00\x00\x00")
-	binary.LittleEndian.PutUint64(rec[8:16], linAddr)
-	rec[16] = byte(typ)
-	rec[17] = byte(perms)
-	m.h.Write(rec[:])
+	m.rec = [64]byte{}
+	copy(m.rec[:8], "EADD\x00\x00\x00\x00")
+	binary.LittleEndian.PutUint64(m.rec[8:16], linAddr)
+	m.rec[16] = byte(typ)
+	m.rec[17] = byte(perms)
+	m.h.Write(m.rec[:])
 
-	page := make([]byte, PageSize)
-	copy(page, content)
+	ext := m.rec[:16]
+	copy(ext[:8], "EEXTEND\x00")
 	for off := 0; off < PageSize; off += extendChunk {
-		var ext [16]byte
-		copy(ext[:8], "EEXTEND\x00")
 		binary.LittleEndian.PutUint64(ext[8:16], linAddr+uint64(off))
-		m.h.Write(ext[:])
-		m.h.Write(page[off : off+extendChunk])
+		m.h.Write(ext)
+		var chunk []byte
+		if off < len(content) {
+			chunk = content[off:min(off+extendChunk, len(content))]
+		}
+		m.h.Write(chunk)
+		m.h.Write(zeroChunk[len(chunk):])
 	}
 }
 
@@ -62,26 +69,39 @@ func (m *measurer) final() Measurement {
 	return out
 }
 
-// MeasureProgram computes the MRENCLAVE a program will have when loaded
-// with EnclaveBuilder.AddProgram — the value a verifier who builds the
-// program deterministically (§4) expects from remote attestation. It must
-// mirror AddProgram's page layout exactly.
-func MeasureProgram(prog *Program) Measurement {
-	img := prog.Image()
-	m := newMeasurer(uint64(len(img)))
-	m.addPage(0, PageTCS, PermR|PermW, []byte("TCS0"))
+// programPages walks the page layout of a program image: one TCS page,
+// the image in REG pages, then four data pages (unmeasured content,
+// measured metadata). EnclaveBuilder.AddProgram adds these pages and
+// MeasureProgram measures them, so the two cannot disagree.
+func programPages(img []byte, page func(linAddr uint64, typ PageType, perms PagePerms, content []byte) error) error {
+	if err := page(0, PageTCS, PermR|PermW, []byte("TCS0")); err != nil {
+		return err
+	}
 	addr := uint64(PageSize)
 	for off := 0; off < len(img); off += PageSize {
-		end := off + PageSize
-		if end > len(img) {
-			end = len(img)
+		if err := page(addr, PageREG, PermR|PermX, img[off:min(off+PageSize, len(img))]); err != nil {
+			return err
 		}
-		m.addPage(addr, PageREG, PermR|PermX, img[off:end])
 		addr += PageSize
 	}
 	for i := 0; i < 4; i++ {
-		m.addPage(addr, PageREG, PermR|PermW, nil)
+		if err := page(addr, PageREG, PermR|PermW, nil); err != nil {
+			return err
+		}
 		addr += PageSize
 	}
+	return nil
+}
+
+// MeasureProgram computes the MRENCLAVE a program will have when loaded
+// with EnclaveBuilder.AddProgram — the value a verifier who builds the
+// program deterministically (§4) expects from remote attestation.
+func MeasureProgram(prog *Program) Measurement {
+	img := prog.Image()
+	m := newMeasurer(uint64(len(img)))
+	_ = programPages(img, func(linAddr uint64, typ PageType, perms PagePerms, content []byte) error { // measuring never fails
+		m.addPage(linAddr, typ, perms, content)
+		return nil
+	})
 	return m.final()
 }

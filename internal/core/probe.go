@@ -50,6 +50,14 @@ const (
 	KindPageEvict    = "epc.ewb"
 	KindPageLoad     = "epc.eldu"
 
+	// KindPacketCrossing is one packet crossing the enclave boundary by
+	// itself, SGXInstIOPerPacket SGX(U) each (Table 2). The data-plane
+	// I/O shim (internal/netsim) reports it where it makes that charge;
+	// with the kinds above it decomposes an I/O enclave's SGX(U):
+	// EENTER + EEXIT + ERESUME + SGXInstIOPerPacket × packets, plus
+	// SGXInstRingDrain per xcall drain.
+	KindPacketCrossing = "enclave.packet"
+
 	// Pager events (EPC oversubscription layer). Fault/hit decompose
 	// every pager access; evict/reload/demand_zero decompose how faults
 	// were served. Counter identities a metrics consumer can check:

@@ -13,10 +13,11 @@ import (
 
 // TestProbeKindAudit holds the probe-kind namespace closed: a strict
 // registry installed under a workload that exercises every instrumented
-// subsystem (the platform's instruction stream, the pager, the xcall
-// rings, the TLS record codec) must see only kinds that were registered
-// with a doc string. A new Observe call site whose kind skipped
-// RegisterKind — or a typo in an existing one — fails here by name.
+// subsystem (the platform's instruction stream, the data-plane I/O
+// shim, the pager, the xcall rings, the TLS record codec) must see only
+// kinds that were registered with a doc string. A new Observe call site
+// whose kind skipped RegisterKind — or a typo in an existing one —
+// fails here by name.
 func TestProbeKindAudit(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetStrict(true)
@@ -26,6 +27,9 @@ func TestProbeKindAudit(t *testing.T) {
 	r := NewRunner(1)
 	r.SetTrace(tr)
 	if _, err := r.Table4At(30); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeasureSend(tr, "audit/table2", 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := epcSweepPoint(tr, nil, 2, 2.0, "clock"); err != nil {
@@ -52,7 +56,8 @@ func TestProbeKindAudit(t *testing.T) {
 	// The audit only means something if the workload actually fired the
 	// families it claims to cover.
 	for _, family := range []string{
-		core.KindEENTER, core.KindPagerFault, xcall.KindCall, "record.seal",
+		core.KindEENTER, core.KindEnclaveOCall, core.KindPacketCrossing,
+		core.KindPagerFault, xcall.KindCall, "record.seal",
 		ratls.KindVerifyCold, ratls.KindVerifyWarm,
 		nfchain.KindProcess, nfchain.KindRuleExamined, nfchain.KindRuleMatch,
 		nfchain.KindForward, nfchain.KindMirror, nfchain.KindDrop,

@@ -97,9 +97,7 @@ func NewMboxRig(nMbox int) (_ *MboxRig, err error) {
 	}
 	r.Endpoint = enc
 	r.EpShim = netsim.NewMsgShim(r.Client, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", r.EpShim)
-	enc.BindHost(&mh)
+	enc.BindHost(r.EpShim)
 
 	entry, svc := "server", "tls"
 	if nMbox > 0 {

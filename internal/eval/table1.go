@@ -68,9 +68,7 @@ func newAttestRig() (_ *attestRig, err error) {
 		return nil, err
 	}
 	r.tShim = netsim.NewMsgShim(r.hostT, r.target.Meter())
-	var mhT netsim.MultiHost
-	mhT.Mount("msg.", r.tShim)
-	r.target.BindHost(&mhT)
+	r.target.BindHost(r.tShim)
 
 	cst := attest.NewChallengerState(attest.Policy{})
 	r.cState = cst
@@ -81,9 +79,7 @@ func newAttestRig() (_ *attestRig, err error) {
 		return nil, err
 	}
 	r.cShim = netsim.NewMsgShim(r.hostC, r.challenger.Meter())
-	var mhC netsim.MultiHost
-	mhC.Mount("msg.", r.cShim)
-	r.challenger.BindHost(&mhC)
+	r.challenger.BindHost(r.cShim)
 	return r, nil
 }
 

@@ -118,9 +118,7 @@ func MeasureSend(tr *obs.Trace, track string, count int, withCrypto bool) (core.
 		return core.Tally{}, err
 	}
 	shim := netsim.NewIOShim(src, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("net.", shim)
-	enc.BindHost(&mh)
+	enc.BindHost(shim)
 	conn, err := src.Dial("dst", "sink")
 	if err != nil {
 		return core.Tally{}, err

@@ -219,9 +219,7 @@ func Launch(host *netsim.SimHost, cfg Config) (*Middlebox, error) {
 		return nil, err
 	}
 	shim := netsim.NewMsgShim(host, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", shim)
-	enc.BindHost(&mh)
+	enc.BindHost(shim)
 
 	mb := &Middlebox{Name: cfg.Name, Host: host, NextHop: cfg.NextHop, state: st, enclave: enc, shim: shim}
 

@@ -183,9 +183,7 @@ func newMboxFixture(t *testing.T, nMbox int, requireBoth, tampered bool) *mboxFi
 	}
 	f.endpoint = enc
 	f.epShim = netsim.NewMsgShim(f.client, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", f.epShim)
-	enc.BindHost(&mh)
+	enc.BindHost(f.epShim)
 	return f
 }
 
@@ -296,9 +294,7 @@ func TestBilateralConsentRequired(t *testing.T) {
 		t.Fatal(err)
 	}
 	srvShim := netsim.NewMsgShim(f.server, srvEnc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", srvShim)
-	srvEnc.BindHost(&mh)
+	srvEnc.BindHost(srvShim)
 	active, err = Provision(srvEnc, srvShim, f.server, mb.Host.Name(), "server", s.ExportKeys())
 	if err != nil {
 		t.Fatal(err)

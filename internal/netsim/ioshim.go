@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,11 +109,12 @@ func (s *IOShim) Conn(id uint32) (*Conn, bool) {
 
 var errBadIOArg = errors.New("netsim: malformed I/O OCALL argument")
 
-// OCall implements core.Host.
+// OCall implements core.Host. It serves only services under its own
+// prefix, so an enclave can bind the shim as its whole host.
 func (s *IOShim) OCall(service string, arg []byte) ([]byte, error) {
-	op := service
-	if len(op) > len(s.prefix) && op[:len(s.prefix)] == s.prefix {
-		op = op[len(s.prefix):]
+	op, ok := strings.CutPrefix(service, s.prefix)
+	if !ok {
+		op = "" // another surface's service: unknown here
 	}
 	switch op {
 	case "dial":
@@ -202,7 +204,20 @@ func (s *IOShim) chargePacket() {
 		return
 	}
 	s.meter.ChargeNormal(core.CostIOCallFixed + core.CostIOPerPacket)
+	s.chargeCrossing()
+}
+
+// chargeCrossing charges one packet's own crossing of the enclave
+// boundary, and reports it, when this shim's packets cross (the data
+// plane); the control plane's ride inside the OCALL and charge nothing.
+func (s *IOShim) chargeCrossing() {
+	if s.boundarySGX == 0 {
+		return
+	}
 	s.meter.ChargeSGX(s.boundarySGX)
+	if p := s.host.Platform().Probe(); p != nil {
+		p.Observe(core.KindPacketCrossing, 1)
+	}
 }
 
 func (s *IOShim) send(arg []byte) ([]byte, error) {
@@ -244,7 +259,7 @@ func (s *IOShim) batch(arg []byte) ([]byte, error) {
 			s.chargePacket()
 		} else {
 			s.meter.ChargeNormal(core.CostIOPerPacket)
-			s.meter.ChargeSGX(s.boundarySGX)
+			s.chargeCrossing()
 		}
 		if err := c.Send(rest[:l]); err != nil {
 			return nil, err
@@ -264,7 +279,7 @@ func (s *IOShim) recv(arg []byte) ([]byte, error) {
 		return nil, err
 	}
 	s.meter.ChargeNormal(core.CostIOCallFixed + core.CostIOPerPacket)
-	s.meter.ChargeSGX(s.boundarySGX)
+	s.chargeCrossing()
 	s.meter.Exit() // parked on input: a Settle must not wait for the peer
 	p, err := c.RecvTimeout(time.Duration(s.recvTimeout.Load()))
 	s.meter.Enter()
@@ -313,7 +328,8 @@ func EncodeSend(connID uint32, pkt []byte) []byte {
 
 // MultiHost fans OCALLs out to several core.Host implementations by
 // service prefix, so one enclave can reach both the network shim and
-// application-specific host services.
+// application-specific host services. An enclave with one service
+// surface binds that host directly.
 type MultiHost struct {
 	mu    sync.RWMutex
 	hosts []prefixed
@@ -332,22 +348,32 @@ func (m *MultiHost) Mount(prefix string, h core.Host) {
 	m.hosts = append(m.hosts, prefixed{prefix, h})
 }
 
-// OCall implements core.Host.
-func (m *MultiHost) OCall(service string, arg []byte) ([]byte, error) {
+// lookup returns the host mounted for service (nil if none).
+func (m *MultiHost) lookup(service string) core.Host {
 	m.mu.RLock()
-	best := -1
+	defer m.mu.RUnlock()
+	var best *prefixed
 	for i, p := range m.hosts {
-		if len(service) >= len(p.prefix) && service[:len(p.prefix)] == p.prefix {
-			if best < 0 || len(p.prefix) > len(m.hosts[best].prefix) {
-				best = i
-			}
+		if strings.HasPrefix(service, p.prefix) && (best == nil || len(p.prefix) > len(best.prefix)) {
+			best = &m.hosts[i]
 		}
 	}
-	var h core.Host
-	if best >= 0 {
-		h = m.hosts[best].h
+	if best == nil {
+		return nil
 	}
-	m.mu.RUnlock()
+	return best.h
+}
+
+// Switchless reports whether the host mounted for service serves it
+// switchlessly (core.IsSwitchless), so Env.OCall charges the crossing
+// only for services whose own host is synchronous.
+func (m *MultiHost) Switchless(service string) bool {
+	return core.IsSwitchless(m.lookup(service), service)
+}
+
+// OCall implements core.Host.
+func (m *MultiHost) OCall(service string, arg []byte) ([]byte, error) {
+	h := m.lookup(service)
 	if h == nil {
 		return nil, fmt.Errorf("netsim: no host mounted for service %q", service)
 	}

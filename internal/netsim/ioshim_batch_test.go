@@ -126,9 +126,14 @@ func TestBatchedModeFlushClosesWindow(t *testing.T) {
 	}
 }
 
-// ringShimEnclave builds an enclave whose OCALLs ride an xcall ring in
-// front of a batched shim — the full switchless send path.
-func ringShimEnclave(t *testing.T, n *Network, cfg xcall.Config, count int) (*core.Enclave, *xcall.OCallRing, *IOShim, uint32, chan int) {
+// ringShimEnclave builds an enclave bound to an xcall ring in front of a
+// batched shim — the full switchless send path, wired as adopters wire
+// it through a switchless xcall.Boundary. Binding the ring is all
+// that makes the enclave's OCALLs switchless: Env.OCall asks its host
+// whether a service crosses, and the ring answers that it accounts for
+// the crossing itself. send makes one ECALL whose handler sends n
+// packets through Env.OCall; the ECALL itself stays synchronous.
+func ringShimEnclave(t *testing.T, n *Network, cfg xcall.Config, count int) (enc *core.Enclave, xb *xcall.Boundary, shim *IOShim, send func(n int) error, received chan int) {
 	t.Helper()
 	plat, err := core.NewPlatform("ring-src", core.PlatformConfig{EPCFrames: 64, Seed: []byte("ring-src")})
 	if err != nil {
@@ -138,9 +143,16 @@ func ringShimEnclave(t *testing.T, n *Network, cfg xcall.Config, count int) (*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := plat.Launch(&core.Program{
+	enc, err = plat.Launch(&core.Program{
 		Name: "ring-sender", Version: "1",
-		Handlers: map[string]core.Handler{"noop": func(env *core.Env, arg []byte) ([]byte, error) { return nil, nil }},
+		Handlers: map[string]core.Handler{"send": func(env *core.Env, arg []byte) ([]byte, error) {
+			for i := 0; i < int(arg[0]); i++ {
+				if _, err := env.OCall("net.send", arg[1:]); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		}},
 	}, signer)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +169,7 @@ func ringShimEnclave(t *testing.T, n *Network, cfg xcall.Config, count int) (*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	received := make(chan int, 1)
+	received = make(chan int, 1)
 	go func() {
 		c, err := l.Accept()
 		if err != nil {
@@ -173,18 +185,22 @@ func ringShimEnclave(t *testing.T, n *Network, cfg xcall.Config, count int) (*co
 		}
 		received <- got
 	}()
-	shim := NewIOShim(src, enc.Meter())
-	ring := xcall.NewOCallRing(enc, shim, cfg)
-	enc.BindHost(ring)
-	enc.SetSwitchlessOCalls(true)
+	shim = NewIOShim(src, enc.Meter())
+	xb = xcall.Attach(enc, &cfg)
+	enc.BindHost(xb.Host(shim))
 	conn, err := src.Dial("dst", "sink")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := shim.Adopt(conn)
-	shim.SetBatched(cfg.WithDefaults().Batch)
+	arg := append([]byte{0}, EncodeSend(shim.Adopt(conn), []byte("pkt"))...)
+	send = func(n int) error {
+		arg[0] = byte(n)
+		_, err := enc.Call("send", arg)
+		return err
+	}
+	shim.SetBatched(xb.Batch())
 	enc.Meter().SnapshotAndReset()
-	return enc, ring, shim, id, received
+	return enc, xb, shim, send, received
 }
 
 func TestBatchedRingFullFallback(t *testing.T) {
@@ -192,21 +208,21 @@ func TestBatchedRingFullFallback(t *testing.T) {
 	// fall back to synchronous crossings even though the shim stays in
 	// batched mode.
 	const sends = 6
-	enc, ring, _, id, received := ringShimEnclave(t, New(),
+	enc, xb, _, send, received := ringShimEnclave(t, New(),
 		xcall.Config{Capacity: 2, Batch: 8, SpinBudget: 1000}, sends)
-	for i := 0; i < sends; i++ {
-		if _, err := ring.OCall("net.send", EncodeSend(id, []byte("pkt"))); err != nil {
-			t.Fatal(err)
-		}
+	if err := send(sends); err != nil {
+		t.Fatal(err)
 	}
-	st := ring.Stats()
+	st := xb.Stats()
 	// Send 1 doorbell, sends 2–3 enqueue, sends 4–6 ring-full.
 	if st.ParkedFallbacks != 1 || st.Calls != 2 || st.FullFallbacks != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
-	// Crossings: 4 fallbacks × EEXIT/ERESUME, no drains yet.
-	if tal := enc.Meter().Snapshot(); tal.SGXU != 8 {
-		t.Fatalf("SGX = %d, want 8", tal.SGXU)
+	// Crossings: the ECALL's EENTER/EEXIT, then 4 fallbacks ×
+	// EEXIT/ERESUME and no drains yet. Env.OCall charged none of its
+	// own: the enqueued sends crossed nothing.
+	if tal := enc.Meter().Snapshot(); tal.SGXU != 2+8 {
+		t.Fatalf("SGX = %d, want 10", tal.SGXU)
 	}
 	if got := <-received; got != sends {
 		t.Fatalf("sink received %d/%d", got, sends)
@@ -224,14 +240,12 @@ func TestBatchedModeUnderPartitionMidBatch(t *testing.T) {
 			A: []string{"src"}, B: []string{"dst"},
 			FromMessage: 4, UntilMessage: 1 << 62,
 		}))
-		enc, ring, shim, id, received := ringShimEnclave(t, n,
+		enc, xb, shim, send, received := ringShimEnclave(t, n,
 			xcall.Config{Capacity: 16, Batch: 4, SpinBudget: 1000}, 0)
-		for i := 0; i < 8; i++ {
-			if _, err := ring.OCall("net.send", EncodeSend(id, []byte("pkt"))); err != nil {
-				t.Fatal(err)
-			}
+		if err := send(8); err != nil {
+			t.Fatal(err)
 		}
-		if err := ring.Flush(); err != nil {
+		if err := xb.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		shim.FlushBatch()
@@ -240,7 +254,7 @@ func TestBatchedModeUnderPartitionMidBatch(t *testing.T) {
 			// partition guarantees no packet is double-counted anyway.
 			t.Fatalf("sink received %d", got)
 		}
-		return enc.Meter().Snapshot(), ring.Stats(), n.Faults().Stats().Partitioned
+		return enc.Meter().Snapshot(), xb.Stats(), n.Faults().Stats().Partitioned
 	}
 	t1, s1, drops1 := run()
 	t2, s2, drops2 := run()
@@ -264,14 +278,12 @@ func TestBatchedModeUnderDropMidBatch(t *testing.T) {
 		if faulty {
 			n.SetFaults(NewFaultSchedule(7).AddLink(LinkFaults{From: "src", To: "dst", DropProb: 1}))
 		}
-		enc, ring, shim, id, _ := ringShimEnclave(t, n,
+		enc, xb, shim, send, _ := ringShimEnclave(t, n,
 			xcall.Config{Capacity: 16, Batch: 4, SpinBudget: 1000}, 0)
-		for i := 0; i < 9; i++ {
-			if _, err := ring.OCall("net.send", EncodeSend(id, []byte("pkt"))); err != nil {
-				t.Fatal(err)
-			}
+		if err := send(9); err != nil {
+			t.Fatal(err)
 		}
-		if err := ring.Flush(); err != nil {
+		if err := xb.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		shim.FlushBatch()

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sgxnet/internal/core"
@@ -184,6 +187,13 @@ func TestIOShimErrors(t *testing.T) {
 	if _, err := shim.OCall("nope", nil); err == nil {
 		t.Fatal("unknown service accepted")
 	}
+	// A shim serves its own prefix only, as a one-mount MultiHost would.
+	if _, err := shim.OCall("send", EncodeSend(99, []byte("x"))); err == nil || !strings.Contains(err.Error(), "unknown OCALL service") {
+		t.Fatalf("unprefixed service: %v", err)
+	}
+	if _, err := NewMsgShim(h, core.NewMeter()).OCall("net.close", EncodeSend(99, nil)); err == nil || !strings.Contains(err.Error(), "unknown OCALL service") {
+		t.Fatalf("message shim served net.close: %v", err)
+	}
 	if _, err := shim.OCall("net.batch", EncodeSend(99, nil)); err == nil {
 		t.Fatal("batch on unknown conn accepted")
 	}
@@ -238,4 +248,83 @@ func TestMultiHostRouting(t *testing.T) {
 	if _, err := m.OCall("other", nil); err == nil {
 		t.Fatal("unmounted service accepted")
 	}
+}
+
+// switchlessHost is a host that serves every service over a ring.
+type switchlessHost struct{ core.HostFunc }
+
+func (switchlessHost) Switchless(string) bool { return true }
+
+func TestMultiHostSwitchlessAsksMountedHost(t *testing.T) {
+	echo := core.HostFunc(func(s string, a []byte) ([]byte, error) { return a, nil })
+	var m MultiHost
+	m.Mount("net.", switchlessHost{echo})
+	m.Mount("tor.", echo)
+	for svc, want := range map[string]bool{"net.send": true, "tor.dial": false, "other": false} {
+		if got := m.Switchless(svc); got != want || core.IsSwitchless(&m, svc) != want {
+			t.Errorf("Switchless(%q) = %v, want %v", svc, got, want)
+		}
+	}
+}
+
+// countProbe counts observations of one kind.
+type countProbe struct {
+	kind string
+	n    atomic.Uint64
+}
+
+func (p *countProbe) Observe(kind string, n uint64) {
+	if kind == p.kind {
+		p.n.Add(n)
+	}
+}
+
+// TestPacketCrossingKind: the data-plane shim reports one
+// core.KindPacketCrossing per packet that crosses by itself, exactly
+// where it charges SGXInstIOPerPacket; batched sends and the message
+// shim charge none and report none.
+func TestPacketCrossingKind(t *testing.T) {
+	n := New()
+	defer n.Close()
+	a, _ := n.AddHost("a", core.PlatformConfig{EPCFrames: 64})
+	b, _ := n.AddHost("b", core.PlatformConfig{EPCFrames: 64})
+	l, _ := b.Listen("svc")
+	go l.Serve(func(c *Conn) {
+		for {
+			if _, err := c.Recv(); err != nil {
+				return
+			}
+			c.Send([]byte("ack"))
+		}
+	})
+	probe := &countProbe{kind: core.KindPacketCrossing}
+	a.Platform().SetProbe(probe)
+	meter := core.NewMeter()
+	check := func(what string, packets uint64) {
+		t.Helper()
+		if got := probe.n.Load(); got != packets || meter.SGX() != core.SGXInstIOPerPacket*packets {
+			t.Fatalf("%s: %d packet crossings and %d SGX(U), want %d and %d",
+				what, got, meter.SGX(), packets, core.SGXInstIOPerPacket*packets)
+		}
+	}
+	shim := NewIOShim(a, meter)
+	id, err := shim.OCall("net.dial", []byte("b|svc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dial", 0)
+	shim.OCall("net.send", append(id, 'x'))
+	shim.OCall("net.batch", EncodeBatch(binary.LittleEndian.Uint32(id), [][]byte{{1}, {2}}))
+	shim.OCall("net.recv", id)
+	check("unbatched", 4)
+	shim.SetBatched(4)
+	shim.OCall("net.send", append(id, 'y'))
+	check("batched", 4)
+	msg := NewMsgShim(a, meter)
+	mid, err := msg.OCall("msg.dial", []byte("b|svc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg.OCall("msg.send", append(mid, 'z'))
+	check("message shim", 4)
 }

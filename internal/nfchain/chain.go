@@ -79,9 +79,8 @@ type Config struct {
 type hop struct {
 	stage    Stage
 	enc      *core.Enclave
-	ring     *xcall.CallRing  // nil in sync mode
-	oring    *xcall.OCallRing // nil in sync mode
-	shim     *netsim.IOShim   // nil without egress
+	xb       *xcall.Boundary
+	shim     *netsim.IOShim // nil without egress
 	egressID uint32
 	admitted atomic.Bool
 }
@@ -125,10 +124,12 @@ func New(host *netsim.SimHost, cfg Config) (*Chain, error) {
 	if c.probe == nil {
 		c.probe = plat.Probe()
 	}
-	batched := cfg.Batch >= 2
-	ringCfg := xcall.Config{Batch: cfg.Batch, SpinBudget: cfg.SpinBudget}
-	if cfg.Series != nil {
-		ringCfg.Series = &xcall.SeriesConfig{Probe: cfg.Series, Clock: cfg.Clock}
+	var ringCfg *xcall.Config // nil: synchronous hops
+	if cfg.Batch >= 2 {
+		ringCfg = &xcall.Config{Batch: cfg.Batch, SpinBudget: cfg.SpinBudget}
+		if cfg.Series != nil {
+			ringCfg.Series = &xcall.SeriesConfig{Probe: cfg.Series, Clock: cfg.Clock}
+		}
 	}
 	for i, stage := range cfg.Stages {
 		h := &hop{stage: stage}
@@ -143,7 +144,7 @@ func New(host *netsim.SimHost, cfg Config) (*Chain, error) {
 			return nil, fmt.Errorf("nfchain: launch stage %q: %w", stage.Name(), err)
 		}
 		h.enc = enc
-		mh := &netsim.MultiHost{}
+		h.xb = xcall.Attach(enc, ringCfg)
 		if cfg.Egress != nil {
 			conn, err := cfg.Egress()
 			if err != nil {
@@ -153,18 +154,8 @@ func New(host *netsim.SimHost, cfg Config) (*Chain, error) {
 			}
 			h.shim = netsim.NewIOShim(host, enc.Meter())
 			h.egressID = h.shim.Adopt(conn)
-			if batched {
-				h.shim.SetBatched(cfg.Batch)
-			}
-			mh.Mount("net.", h.shim)
-		}
-		if batched {
-			h.oring = xcall.NewOCallRing(enc, mh, ringCfg)
-			enc.BindHost(h.oring)
-			enc.SetSwitchlessOCalls(true)
-			h.ring = xcall.NewCallRing(enc, ringCfg)
-		} else {
-			enc.BindHost(mh)
+			h.shim.SetBatched(h.xb.Batch())
+			enc.BindHost(h.xb.Host(h.shim))
 		}
 		c.hops = append(c.hops, h)
 	}
@@ -408,14 +399,7 @@ func (c *Chain) Admit(peer string, cert []byte) (core.Tally, error) {
 func (c *Chain) Process(p *Packet) error {
 	return drive(func(stage int, pkt Packet) (Verdict, Packet, bool, error) {
 		h := c.hops[stage]
-		wire := AppendPacket(nil, &pkt)
-		var out []byte
-		var err error
-		if h.ring != nil {
-			out, err = h.ring.Call(ProcService, wire)
-		} else {
-			out, err = h.enc.Call(ProcService, wire)
-		}
+		out, err := h.xb.Call(ProcService, AppendPacket(nil, &pkt))
 		if err != nil {
 			return Verdict{}, Packet{}, false, err
 		}
@@ -430,15 +414,8 @@ func (c *Chain) stageName(i int) string { return c.cfg.Stages[i].Name() }
 // batches. Call at phase boundaries before reading meters.
 func (c *Chain) Flush() error {
 	for _, h := range c.hops {
-		if h.ring != nil {
-			if err := h.ring.Flush(); err != nil {
-				return err
-			}
-		}
-		if h.oring != nil {
-			if err := h.oring.Flush(); err != nil {
-				return err
-			}
+		if err := h.xb.Flush(); err != nil {
+			return err
 		}
 		if h.shim != nil {
 			h.shim.FlushBatch()
@@ -454,12 +431,7 @@ func (c *Chain) Stats() Stats { return c.stats }
 func (c *Chain) XcallStats() xcall.Stats {
 	var total xcall.Stats
 	for _, h := range c.hops {
-		if h.ring != nil {
-			total = total.Add(h.ring.Stats())
-		}
-		if h.oring != nil {
-			total = total.Add(h.oring.Stats())
-		}
+		total = total.Add(h.xb.Stats())
 	}
 	return total
 }

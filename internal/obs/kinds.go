@@ -73,6 +73,7 @@ func init() {
 		{core.KindEnclaveCall, "one completed ecall (enter + exit pair)"},
 		{core.KindEnclaveOCall, "one completed ocall (exit + resume pair)"},
 		{core.KindEnclaveAlloc, "bytes of enclave heap allocated"},
+		{core.KindPacketCrossing, "one packet crossing the enclave boundary by itself (Table 2)"},
 		{core.KindSeal, "one sealing operation over enclave state"},
 		{core.KindUnseal, "one unsealing operation over sealed state"},
 		{core.KindPageAdd, "EPC page committed to an enclave"},

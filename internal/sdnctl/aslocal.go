@@ -257,9 +257,7 @@ func LaunchASLocal(host *netsim.SimHost, signer *core.Signer, policy *PolicyMsg,
 		return nil, err
 	}
 	shim := netsim.NewMsgShim(host, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", shim)
-	enc.BindHost(&mh)
+	enc.BindHost(shim)
 	return &ASLocal{ASN: policy.ASN, Host: host, Enclave: enc, State: st, Shim: shim}, nil
 }
 

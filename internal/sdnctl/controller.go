@@ -297,9 +297,7 @@ func launchController(host *netsim.SimHost, signer *core.Signer, st *ControllerS
 		return nil, err
 	}
 	shim := netsim.NewMsgShim(host, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", shim)
-	enc.BindHost(&mh)
+	enc.BindHost(shim)
 	l, err := host.Listen(ControllerService)
 	if err != nil {
 		enc.Destroy()

@@ -154,9 +154,7 @@ func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 		// quoting enclave serves one request at a time — safe on one track.
 		agent.SetTrace(tr, track+"/qe")
 	}
-	if cfg.Xcall != nil {
-		agent.SetXcall(*cfg.Xcall)
-	}
+	agent.SetXcall(cfg.Xcall)
 	// QuoteServing measures serving only: drain whatever quoting-enclave
 	// launch charged before any requester connects.
 	agent.QE.Meter().SnapshotAndReset()

@@ -15,8 +15,8 @@ import (
 // are submitted switchlessly and the crossing amortizes over batches —
 // the ablation eval.XcallSweep measures.
 type RecordEngine struct {
-	enc  *core.Enclave
-	ring *xcall.CallRing
+	enc *core.Enclave
+	xb  *xcall.Boundary
 }
 
 // engine entry-point argument: dir(1) ‖ seq(8) ‖ record bytes.
@@ -56,46 +56,25 @@ func NewRecordEngine(plat *core.Platform, signer *core.Signer, keys Keys, xc *xc
 	if err != nil {
 		return nil, err
 	}
-	e := &RecordEngine{enc: enc}
-	if xc != nil {
-		e.ring = xcall.NewCallRing(enc, *xc)
-	}
-	return e, nil
-}
-
-func (e *RecordEngine) call(fn string, arg []byte) ([]byte, error) {
-	if e.ring != nil {
-		return e.ring.Call(fn, arg)
-	}
-	return e.enc.Call(fn, arg)
+	return &RecordEngine{enc: enc, xb: xcall.Attach(enc, xc)}, nil
 }
 
 // Seal seals one record inside the enclave.
 func (e *RecordEngine) Seal(dir Direction, seq uint64, payload []byte) ([]byte, error) {
-	return e.call("tls.seal", engineArg(dir, seq, payload))
+	return e.xb.Call("tls.seal", engineArg(dir, seq, payload))
 }
 
 // Open verifies and decrypts one record inside the enclave.
 func (e *RecordEngine) Open(dir Direction, seq uint64, raw []byte) ([]byte, error) {
-	return e.call("tls.open", engineArg(dir, seq, raw))
+	return e.xb.Call("tls.open", engineArg(dir, seq, raw))
 }
 
 // Flush drains the engine's ring at a phase boundary (no-op when
 // running synchronously).
-func (e *RecordEngine) Flush() error {
-	if e.ring == nil {
-		return nil
-	}
-	return e.ring.Flush()
-}
+func (e *RecordEngine) Flush() error { return e.xb.Flush() }
 
 // XcallStats returns the ring tally (zero when running synchronously).
-func (e *RecordEngine) XcallStats() xcall.Stats {
-	if e.ring == nil {
-		return xcall.Stats{}
-	}
-	return e.ring.Stats()
-}
+func (e *RecordEngine) XcallStats() xcall.Stats { return e.xb.Stats() }
 
 // Meter returns the engine enclave's meter.
 func (e *RecordEngine) Meter() *core.Meter { return e.enc.Meter() }

@@ -140,9 +140,7 @@ func NewClient(host *netsim.SimHost, cfg ClientConfig) (*Client, error) {
 		c.enclave = enc
 		c.meter = enc.Meter()
 		c.shim = netsim.NewMsgShim(host, enc.Meter())
-		var mh netsim.MultiHost
-		mh.Mount("msg.", c.shim)
-		enc.BindHost(&mh)
+		enc.BindHost(c.shim)
 	}
 	return c, nil
 }

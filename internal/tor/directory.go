@@ -285,9 +285,7 @@ func (a *Authority) launchEnclave() error {
 	}
 	a.enclave = enc
 	a.shim = netsim.NewMsgShim(a.Host, enc.Meter())
-	var mh netsim.MultiHost
-	mh.Mount("msg.", a.shim)
-	enc.BindHost(&mh)
+	enc.BindHost(a.shim)
 	return nil
 }
 

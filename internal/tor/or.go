@@ -55,9 +55,11 @@ type circuit struct {
 }
 
 // orState is the onion router logic — a cell-driven state machine shared
-// by the native and the in-enclave deployments. All I/O goes through the
-// send/dial/stream callbacks so the enclave build can route them through
-// OCALLs.
+// by the native and the in-enclave deployments. All I/O leaves through
+// the host io each cell is handled with: net.send puts a cell on a link,
+// tor.dial opens a link to another OR, tor.stream runs one exit
+// request/response. In the enclave io is the handler's Env, so every
+// send, dial and stream is an OCALL.
 type orState struct {
 	name   string
 	exit   bool
@@ -69,10 +71,6 @@ type orState struct {
 	byNext   map[circKey]*circuit
 	nextCirc uint32
 	snoopLog []string
-
-	send   func(m *core.Meter, link uint32, cell []byte) error
-	dial   func(m *core.Meter, orHost string) (uint32, error)
-	stream func(m *core.Meter, dest string, req []byte) ([]byte, error)
 }
 
 func newORState(name string, exit bool, behv Behavior) *orState {
@@ -93,8 +91,27 @@ func (s *orState) SnoopLog() []string {
 	return append([]string(nil), s.snoopLog...)
 }
 
+// send puts a cell on a link.
+func send(io core.Host, link uint32, cell []byte) error {
+	_, err := io.OCall("net.send", netsim.EncodeSend(link, cell))
+	return err
+}
+
+// dial opens a link to another OR's host. The link ID comes from the
+// untrusted host, so its length is checked.
+func dial(io core.Host, orHost string) (uint32, error) {
+	out, err := io.OCall("tor.dial", []byte(orHost))
+	if err != nil {
+		return 0, err
+	}
+	if len(out) != 4 {
+		return 0, fmt.Errorf("tor: malformed link ID from host")
+	}
+	return binary.LittleEndian.Uint32(out), nil
+}
+
 // onCell processes one inbound cell from a link.
-func (s *orState) onCell(m *core.Meter, link uint32, raw []byte) error {
+func (s *orState) onCell(m *core.Meter, io core.Host, link uint32, raw []byte) error {
 	cell, err := UnmarshalCell(raw)
 	if err != nil {
 		return err
@@ -102,11 +119,11 @@ func (s *orState) onCell(m *core.Meter, link uint32, raw []byte) error {
 	key := circKey{link: link, circ: cell.CircID}
 	switch cell.Cmd {
 	case CmdCreate:
-		return s.onCreate(m, key, cell.Payload)
+		return s.onCreate(m, io, key, cell.Payload)
 	case CmdCreated:
-		return s.onCreated(m, key, cell.Payload)
+		return s.onCreated(m, io, key, cell.Payload)
 	case CmdRelay:
-		return s.onRelay(m, key, cell.Payload)
+		return s.onRelay(m, io, key, cell.Payload)
 	case CmdDestroy:
 		s.destroy(key)
 		return nil
@@ -116,7 +133,7 @@ func (s *orState) onCell(m *core.Meter, link uint32, raw []byte) error {
 }
 
 // onCreate answers a circuit-open: run the responder half of the DH.
-func (s *orState) onCreate(m *core.Meter, key circKey, payload []byte) error {
+func (s *orState) onCreate(m *core.Meter, io core.Host, key circKey, payload []byte) error {
 	clientPub := new(big.Int).SetBytes(payload)
 	dh, err := sgxcrypto.GenerateKey(m, sgxcrypto.StandardGroup(), nil)
 	if err != nil {
@@ -138,12 +155,12 @@ func (s *orState) onCreate(m *core.Meter, key circKey, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.send(m, key.link, out)
+	return send(io, key.link, out)
 }
 
 // onCreated completes an extension this OR initiated on behalf of a
 // client: forward the new hop's DH public value backward.
-func (s *orState) onCreated(m *core.Meter, key circKey, payload []byte) error {
+func (s *orState) onCreated(m *core.Meter, io core.Host, key circKey, payload []byte) error {
 	s.mu.Lock()
 	circ := s.byNext[key]
 	if circ == nil || !circ.pendingExtend {
@@ -154,12 +171,12 @@ func (s *orState) onCreated(m *core.Meter, key circKey, payload []byte) error {
 	circ.hasNext = true
 	s.mu.Unlock()
 	rc := RelayCell{Cmd: RelayExtended, Data: payload}
-	return s.sendBack(m, circ, rc.Marshal())
+	return s.sendBack(m, io, circ, rc.Marshal())
 }
 
 // onRelay handles a relay cell, distinguishing forward (from the client
 // side) and backward (from the next hop) directions.
-func (s *orState) onRelay(m *core.Meter, key circKey, payload []byte) error {
+func (s *orState) onRelay(m *core.Meter, io core.Host, key circKey, payload []byte) error {
 	s.mu.Lock()
 	if circ, ok := s.byNext[key]; ok { // backward direction
 		s.mu.Unlock()
@@ -172,7 +189,7 @@ func (s *orState) onRelay(m *core.Meter, key circKey, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		return s.send(m, circ.prev.link, out)
+		return send(io, circ.prev.link, out)
 	}
 	circ, ok := s.circuits[key]
 	s.mu.Unlock()
@@ -184,7 +201,7 @@ func (s *orState) onRelay(m *core.Meter, key circKey, payload []byte) error {
 		// Unrecognized or tampered cell: tear the circuit down and tell
 		// the client side, so it fails fast instead of waiting forever.
 		if out, merr := (&Cell{CircID: key.circ, Cmd: CmdDestroy}).Marshal(); merr == nil {
-			s.send(m, key.link, out)
+			send(io, key.link, out)
 		}
 		s.destroy(key)
 		return err
@@ -201,24 +218,24 @@ func (s *orState) onRelay(m *core.Meter, key circKey, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		return s.send(m, next.link, out)
+		return send(io, next.link, out)
 	}
 	rc, err := UnmarshalRelay(rest)
 	if err != nil {
 		return err
 	}
-	return s.handleRelay(m, circ, rc)
+	return s.handleRelay(m, io, circ, rc)
 }
 
 // handleRelay executes a relay command addressed to this hop.
-func (s *orState) handleRelay(m *core.Meter, circ *circuit, rc RelayCell) error {
+func (s *orState) handleRelay(m *core.Meter, io core.Host, circ *circuit, rc RelayCell) error {
 	switch rc.Cmd {
 	case RelayExtend:
 		target := string(rc.Data[:bytes.IndexByte(rc.Data, 0)])
 		clientPub := rc.Data[bytes.IndexByte(rc.Data, 0)+1:]
-		link, err := s.dial(m, target)
+		link, err := dial(io, target)
 		if err != nil {
-			return s.sendBack(m, circ, (&RelayCell{Cmd: RelayEnd, Data: []byte(err.Error())}).Marshal())
+			return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayEnd, Data: []byte(err.Error())}).Marshal())
 		}
 		s.mu.Lock()
 		outCirc := s.nextCirc
@@ -232,28 +249,28 @@ func (s *orState) handleRelay(m *core.Meter, circ *circuit, rc RelayCell) error 
 		if err != nil {
 			return err
 		}
-		return s.send(m, link, out)
+		return send(io, link, out)
 
 	case RelayBegin:
 		if !s.exit {
-			return s.sendBack(m, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("not an exit")}).Marshal())
+			return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("not an exit")}).Marshal())
 		}
 		// Streams are request/response in this substrate; BEGIN just
 		// acknowledges — the destination is dialed per DATA exchange.
-		return s.sendBack(m, circ, (&RelayCell{Cmd: RelayConnected, StreamID: rc.StreamID}).Marshal())
+		return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayConnected, StreamID: rc.StreamID}).Marshal())
 
 	case RelayData:
 		if !s.exit {
-			return s.sendBack(m, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("not an exit")}).Marshal())
+			return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("not an exit")}).Marshal())
 		}
 		sep := bytes.IndexByte(rc.Data, 0)
 		if sep < 0 {
-			return s.sendBack(m, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("bad begin")}).Marshal())
+			return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("bad begin")}).Marshal())
 		}
 		dest, req := string(rc.Data[:sep]), rc.Data[sep+1:]
 		if svcSep := bytes.IndexByte([]byte(dest), '|'); svcSep >= 0 {
 			if !s.policy.Allows(dest[svcSep+1:]) {
-				return s.sendBack(m, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("exit policy refused")}).Marshal())
+				return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte("exit policy refused")}).Marshal())
 			}
 		}
 		if s.behv == BehaveSnoop {
@@ -263,16 +280,16 @@ func (s *orState) handleRelay(m *core.Meter, circ *circuit, rc RelayCell) error 
 			s.snoopLog = append(s.snoopLog, fmt.Sprintf("%s → %q", dest, req))
 			s.mu.Unlock()
 		}
-		resp, err := s.stream(m, dest, req)
+		resp, err := io.OCall("tor.stream", rc.Data) // dest ‖ 0 ‖ req
 		if err != nil {
-			return s.sendBack(m, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte(err.Error())}).Marshal())
+			return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID, Data: []byte(err.Error())}).Marshal())
 		}
 		if s.behv == BehaveTamperExit {
 			// Exit tampering: the client has no end-to-end integrity, so
 			// a modified payload re-enters the onion unnoticed.
 			resp = append([]byte("EVIL:"), resp...)
 		}
-		return s.sendBack(m, circ, (&RelayCell{Cmd: RelayData, StreamID: rc.StreamID, Data: resp}).Marshal())
+		return s.sendBack(m, io, circ, (&RelayCell{Cmd: RelayData, StreamID: rc.StreamID, Data: resp}).Marshal())
 
 	case RelayEnd:
 		return nil
@@ -284,7 +301,7 @@ func (s *orState) handleRelay(m *core.Meter, circ *circuit, rc RelayCell) error 
 
 // sendBack seals a relay payload with this hop's key and sends it toward
 // the client.
-func (s *orState) sendBack(m *core.Meter, circ *circuit, relay []byte) error {
+func (s *orState) sendBack(m *core.Meter, io core.Host, circ *circuit, relay []byte) error {
 	sealed, err := addBackward(m, circ.key, relay)
 	if err != nil {
 		return err
@@ -294,7 +311,7 @@ func (s *orState) sendBack(m *core.Meter, circ *circuit, relay []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.send(m, circ.prev.link, out)
+	return send(io, circ.prev.link, out)
 }
 
 func (s *orState) destroy(key circKey) {
@@ -319,22 +336,23 @@ type OR struct {
 
 	state      *orState
 	enclave    *core.Enclave
-	shim       *netsim.IOShim
+	shim       *netsim.IOShim      // data-plane shim: net.send (SGX ORs)
 	attestShim *netsim.IOShim      // control-plane shim for attestation
 	tstate     *attest.TargetState // attestation target (SGX ORs)
 
-	// Switchless relaying (ORConfig.Xcall): inbound cells enter through
-	// callRing instead of Enclave.Call; outbound cells leave through
-	// sendRing + the batched data-plane shim instead of per-cell
-	// crossings. Attestation traffic (attestShim, msg.*) stays on the
-	// synchronous path — admission is control-plane, not hot.
-	callRing *xcall.CallRing
-	sendRing *xcall.OCallRing
+	// xb is an SGX OR's enclave boundary (ORConfig.Xcall): inbound cells
+	// enter through it, and cell sends leave through what it puts in
+	// front of the data-plane shim — a ring when switchless.
+	// Attestation (msg.*), dials and exit streams (tor.*) stay on the
+	// synchronous crossing: they are control plane, not hot.
+	xb *xcall.Boundary
+	// enter hands one inbound cell to the OR logic: through the enclave
+	// boundary for an SGX OR, in-process for a native one.
+	enter func(link uint32, raw []byte) error
 
 	mu       sync.Mutex
 	links    map[uint32]*netsim.Conn
-	shimIDs  map[uint32]uint32 // link → data-plane shim connID (switchless sends)
-	nextLink uint32
+	nextLink uint32 // native ORs; an SGX OR's links are shim connIDs
 	listener *netsim.Listener
 	meter    *core.Meter
 	cert     []byte // minted RA-TLS certificate (RATLS deployments)
@@ -456,9 +474,8 @@ func LaunchOR(host *netsim.SimHost, cfg ORConfig) (*OR, error) {
 		}
 	} else {
 		o.meter = host.Platform().HostMeter
-		o.state.send = o.hostSend
-		o.state.dial = o.hostDial
-		o.state.stream = o.hostStream
+		io := core.HostFunc(o.hostIO)
+		o.enter = func(link uint32, raw []byte) error { return o.state.onCell(o.meter, io, link, raw) }
 	}
 	l, err := host.Listen(ORService)
 	if err != nil {
@@ -484,7 +501,7 @@ func ORProgram(state *orState, tstate *attest.TargetState, version string, behv 
 					return nil, fmt.Errorf("tor: short cell arg")
 				}
 				link := binary.LittleEndian.Uint32(arg[:4])
-				return nil, state.onCell(env.Meter(), link, arg[4:])
+				return nil, state.onCell(env.Meter(), env, link, arg[4:])
 			},
 		},
 	}
@@ -561,144 +578,90 @@ func (o *OR) launchEnclave(cfg ORConfig) error {
 	o.meter = enc.Meter()
 	o.shim = netsim.NewIOShim(o.Host, enc.Meter())
 	o.attestShim = netsim.NewMsgShim(o.Host, enc.Meter())
+	o.xb = xcall.Attach(enc, cfg.Xcall)
+	o.shim.SetBatched(o.xb.Batch())
 	var mh netsim.MultiHost
-	mh.Mount("net.", o.shim)
+	mh.Mount("net.", o.xb.Host(o.shim))
 	mh.Mount("msg.", o.attestShim)
 	mh.Mount("tor.", core.HostFunc(o.torOCall))
 	enc.BindHost(&mh)
-	// Enclave-side I/O callbacks.
-	if cfg.Xcall != nil {
-		xc := cfg.Xcall.WithDefaults()
-		o.callRing = xcall.NewCallRing(enc, xc)
-		o.sendRing = xcall.NewOCallRing(enc, o.shim, xc)
-		o.shim.SetBatched(xc.Batch)
-		o.shimIDs = make(map[uint32]uint32)
-		// Switchless send: the cell rides the shared ring to the
-		// untrusted data-plane shim — ring ops plus the shim's windowed
-		// batched charges; no per-cell crossing.
-		o.state.send = func(m *core.Meter, link uint32, cell []byte) error {
-			id, err := o.shimConnID(link)
-			if err != nil {
-				return err
-			}
-			_, err = o.sendRing.OCall("net.send", netsim.EncodeSend(id, cell))
-			return err
-		}
-	} else {
-		o.state.send = func(m *core.Meter, link uint32, cell []byte) error {
-			o.mu.Lock()
-			conn := o.links[link]
-			o.mu.Unlock()
-			if conn == nil {
-				return fmt.Errorf("tor: %s: unknown link %d", o.Name, link)
-			}
-			// Data-plane send through the enclave boundary (Table 2 costs).
-			m.ChargeNormal(core.CostIOCallFixed + core.CostIOPerPacket)
-			m.ChargeSGX(core.SGXInstIOPerPacket + 2) // packet crossing + EEXIT/ERESUME
-			return conn.Send(cell)
-		}
-	}
-	o.state.dial = func(m *core.Meter, orHost string) (uint32, error) {
-		m.ChargeSGX(2) // OCALL to the untrusted dialer
-		return o.dialLink(orHost)
-	}
-	o.state.stream = func(m *core.Meter, dest string, req []byte) ([]byte, error) {
-		m.ChargeSGX(2) // OCALL to the untrusted stream proxy
-		m.ChargeNormal(core.CostIOCallFixed + 2*core.CostIOPerPacket)
-		return o.doStream(dest, req)
+	o.enter = func(link uint32, raw []byte) error {
+		arg := make([]byte, 4+len(raw))
+		binary.LittleEndian.PutUint32(arg[:4], link)
+		copy(arg[4:], raw)
+		_, err := o.xb.Call("or.cell", arg)
+		return err
 	}
 	return nil
 }
 
-// shimConnID maps a cell link to its data-plane shim connID, adopting
-// the connection into the shim on first use (switchless sends address
-// connections the shim way).
-func (o *OR) shimConnID(link uint32) (uint32, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if id, ok := o.shimIDs[link]; ok {
-		return id, nil
-	}
-	conn := o.links[link]
-	if conn == nil {
-		return 0, fmt.Errorf("tor: %s: unknown link %d", o.Name, link)
-	}
-	id := o.shim.Adopt(conn)
-	o.shimIDs[link] = id
-	return id, nil
-}
-
-// enterCell feeds one inbound cell to the enclave, switchlessly when a
-// call ring is configured.
-func (o *OR) enterCell(arg []byte) error {
-	if o.callRing != nil {
-		_, err := o.callRing.Call("or.cell", arg)
-		return err
-	}
-	_, err := o.enclave.Call("or.cell", arg)
-	return err
-}
-
 // FlushXcall drains the OR's rings and closes the shim's send window
 // at a phase boundary (measurement snapshot, teardown). No-op for
-// synchronous ORs.
+// native ORs, and free for synchronous ones.
 func (o *OR) FlushXcall() error {
-	if o.callRing == nil {
+	if o.enclave == nil {
 		return nil
 	}
-	if err := o.callRing.Flush(); err != nil {
-		return err
-	}
-	if err := o.sendRing.Flush(); err != nil {
+	if err := o.xb.Flush(); err != nil {
 		return err
 	}
 	o.shim.FlushBatch()
 	return nil
 }
 
-// XcallStats sums the OR's ring tallies (zero when synchronous).
+// XcallStats sums the OR's ring tallies (zero when synchronous or
+// native).
 func (o *OR) XcallStats() xcall.Stats {
-	if o.callRing == nil {
+	if o.enclave == nil {
 		return xcall.Stats{}
 	}
-	return o.callRing.Stats().Add(o.sendRing.Stats())
+	return o.xb.Stats()
 }
 
-// torOCall serves the enclave's tor.* host services (unused paths kept
-// for future in-enclave dialing).
-func (o *OR) torOCall(service string, arg []byte) ([]byte, error) {
+// hostIO serves the OR's host services in-process and charges nothing:
+// net.send puts a cell on a link, tor.dial opens a link to another OR,
+// tor.stream runs one exit request/response. A native OR's logic calls
+// it directly; an SGX OR's reaches tor.* through torOCall and net.send
+// through its data-plane shim.
+func (o *OR) hostIO(service string, arg []byte) ([]byte, error) {
 	switch service {
+	case "net.send":
+		if len(arg) < 4 {
+			return nil, fmt.Errorf("tor: %s: short send", o.Name)
+		}
+		link := binary.LittleEndian.Uint32(arg[:4])
+		o.mu.Lock()
+		conn := o.links[link]
+		o.mu.Unlock()
+		if conn == nil {
+			return nil, fmt.Errorf("tor: %s: unknown link %d", o.Name, link)
+		}
+		return nil, conn.Send(arg[4:])
 	case "tor.dial":
 		link, err := o.dialLink(string(arg))
 		if err != nil {
 			return nil, err
 		}
-		out := make([]byte, 4)
-		binary.LittleEndian.PutUint32(out, link)
-		return out, nil
+		return binary.LittleEndian.AppendUint32(nil, link), nil
+	case "tor.stream":
+		sep := bytes.IndexByte(arg, 0)
+		if sep < 0 {
+			return nil, fmt.Errorf("tor: %s: malformed stream", o.Name)
+		}
+		return o.doStream(string(arg[:sep]), arg[sep+1:])
 	default:
 		return nil, fmt.Errorf("tor: unknown service %q", service)
 	}
 }
 
-// Native-side I/O callbacks.
-
-func (o *OR) hostSend(m *core.Meter, link uint32, cell []byte) error {
-	o.mu.Lock()
-	conn := o.links[link]
-	o.mu.Unlock()
-	if conn == nil {
-		return fmt.Errorf("tor: %s: unknown link %d", o.Name, link)
+// torOCall serves an SGX OR's tor.* OCALLs, whose crossing Env.OCall
+// has charged: hostIO's services, with an exit stream paying Table 2's
+// I/O cost of one call and two packets.
+func (o *OR) torOCall(service string, arg []byte) ([]byte, error) {
+	if service == "tor.stream" {
+		o.meter.ChargeNormal(core.CostIOCallFixed + 2*core.CostIOPerPacket)
 	}
-	return conn.Send(cell)
-}
-
-func (o *OR) hostDial(m *core.Meter, orHost string) (uint32, error) {
-	return o.dialLink(orHost)
-}
-
-func (o *OR) hostStream(m *core.Meter, dest string, req []byte) ([]byte, error) {
-	return o.doStream(dest, req)
+	return o.hostIO(service, arg)
 }
 
 // dialLink opens a cell link to another OR and starts pumping it.
@@ -725,11 +688,18 @@ func (o *OR) doStream(dest string, req []byte) ([]byte, error) {
 	return conn.Request(req)
 }
 
-// adoptConn registers a link and starts its read pump.
+// adoptConn registers a link and starts its read pump. An SGX OR's link
+// ID is the connID its data-plane shim gives the connection, so the
+// enclave's net.send addresses the link directly.
 func (o *OR) adoptConn(conn *netsim.Conn) uint32 {
 	o.mu.Lock()
-	o.nextLink++
-	link := o.nextLink
+	var link uint32
+	if o.shim != nil {
+		link = o.shim.Adopt(conn)
+	} else {
+		o.nextLink++
+		link = o.nextLink
+	}
 	o.links[link] = conn
 	o.mu.Unlock()
 	go o.pump(link, conn)
@@ -742,18 +712,7 @@ func (o *OR) pump(link uint32, conn *netsim.Conn) {
 		if err != nil {
 			return
 		}
-		if o.SGX {
-			arg := make([]byte, 4+len(raw))
-			binary.LittleEndian.PutUint32(arg[:4], link)
-			copy(arg[4:], raw)
-			if err := o.enterCell(arg); err != nil {
-				continue // a bad cell must not kill the pump
-			}
-		} else {
-			if err := o.state.onCell(o.meter, link, raw); err != nil {
-				continue
-			}
-		}
+		o.enter(link, raw) // a bad cell must not kill the pump
 	}
 }
 
@@ -773,15 +732,7 @@ func (o *OR) serveConn(conn *netsim.Conn) {
 		return
 	}
 	// Treat as a cell link: process the first cell, then pump.
-	link := o.adoptConn(conn)
-	if o.SGX {
-		arg := make([]byte, 4+len(first))
-		binary.LittleEndian.PutUint32(arg[:4], link)
-		copy(arg[4:], first)
-		o.enterCell(arg)
-	} else {
-		o.state.onCell(o.meter, link, first)
-	}
+	o.enter(o.adoptConn(conn), first)
 }
 
 // Close stops the OR.

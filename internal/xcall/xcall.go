@@ -298,20 +298,26 @@ func observe(p core.Probe, kind string, n uint64) {
 }
 
 // chargeSwitchless accounts one enqueued descriptor and, if the
-// submission triggered a drain, the amortized crossing plus per-
-// descriptor dequeues; all on the meter the synchronous path would
-// have charged.
+// submission triggered a drain, the drain; all on the meter the
+// synchronous path would have charged.
 func chargeSwitchless(m *core.Meter, p core.Probe, drained int, parked bool) {
 	m.ChargeNormal(core.CostRingEnqueue + core.CostRingSpinPoll)
 	observe(p, KindCall, 1)
-	if drained > 0 {
-		m.ChargeSGX(core.SGXInstRingDrain)
-		m.ChargeNormal(uint64(drained) * core.CostRingDequeue)
-		observe(p, KindDrain, uint64(drained))
-	}
+	chargeDrain(m, p, drained)
 	if parked {
 		observe(p, KindPark, 1)
 	}
+}
+
+// chargeDrain accounts a drain of n descriptors (none: no drain): the
+// batch's one amortized crossing plus a dequeue per descriptor.
+func chargeDrain(m *core.Meter, p core.Probe, n int) {
+	if n == 0 {
+		return
+	}
+	m.ChargeSGX(core.SGXInstRingDrain)
+	m.ChargeNormal(uint64(n) * core.CostRingDequeue)
+	observe(p, KindDrain, uint64(n))
 }
 
 // chargeFallback reports fallback probes (the synchronous crossing
@@ -380,24 +386,29 @@ func (r *CallRing) Stats() Stats { return r.snapshot() }
 
 // OCallRing is the enclave→host direction: in-enclave code posts host
 // requests to the ring instead of paying EEXIT/ERESUME per OCALL. It
-// implements core.Host so it can be bound directly as an enclave's
-// host (with Enclave.SetSwitchlessOCalls to stop Env.OCall's own
-// crossing charge) or invoked explicitly by enclave-side send paths.
-// Accounting lands on the enclave meter, like the synchronous OCALL.
+// implements core.Host and reports every service switchless, so bound
+// as an enclave's host (or mounted under a netsim.MultiHost prefix) it
+// takes over from Env.OCall's own crossing charge. Accounting lands on
+// the enclave meter, like the synchronous OCALL. Boundary.Host makes
+// one, and the Boundary flushes it and reports its stats.
 type OCallRing struct {
 	ring
 	enc  *core.Enclave
 	host core.Host
 }
 
-// NewOCallRing builds an OCALL ring for enc in front of the untrusted
+// newOCallRing builds an OCALL ring for enc in front of the untrusted
 // host h.
-func NewOCallRing(enc *core.Enclave, h core.Host, cfg Config) *OCallRing {
+func newOCallRing(enc *core.Enclave, h core.Host, cfg Config) *OCallRing {
 	return &OCallRing{ring: newRing(cfg), enc: enc, host: h}
 }
 
+// Switchless implements the optional core.Host method Env.OCall asks:
+// every request the ring serves is accounted by the ring.
+func (r *OCallRing) Switchless(string) bool { return true }
+
 // OCall submits one host request. Fallbacks pay the synchronous
-// EEXIT/ERESUME pair here (the ring replaced the Env.OCall charge);
+// crossing here (Enclave.ChargeOCall, which Env.OCall skipped);
 // switchless submissions pay ring ops and amortized drains. The host
 // service always runs before OCall returns — responses stay causal.
 func (r *OCallRing) OCall(service string, arg []byte) ([]byte, error) {
@@ -405,7 +416,6 @@ func (r *OCallRing) OCall(service string, arg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := r.enc.Meter()
 	p := r.enc.Platform().Probe()
 	if v != verdictEnqueue {
 		// Validate-then-charge: the host service runs first; the
@@ -416,20 +426,12 @@ func (r *OCallRing) OCall(service string, arg []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.ChargeSGX(2) // EEXIT + ERESUME: the synchronous crossing
-		observe(p, core.KindEEXIT, 1)
-		observe(p, core.KindERESUME, 1)
+		r.enc.ChargeOCall()
 		chargeFallback(p, v)
 		return out, nil
 	}
-	chargeSwitchless(m, p, drained, parked)
+	chargeSwitchless(r.enc.Meter(), p, drained, parked)
 	return r.host.OCall(service, arg)
-}
-
-// Flush drains pending descriptors and parks the worker (see
-// CallRing.Flush).
-func (r *OCallRing) Flush() error {
-	return chargeFlush(&r.ring, r.enc)
 }
 
 // chargeFlush performs a flush and accounts it on the enclave meter: a
@@ -441,17 +443,9 @@ func chargeFlush(r *ring, enc *core.Enclave) error {
 		return err
 	}
 	p := enc.Platform().Probe()
-	if drained > 0 {
-		m := enc.Meter()
-		m.ChargeSGX(core.SGXInstRingDrain)
-		m.ChargeNormal(uint64(drained) * core.CostRingDequeue)
-		observe(p, KindDrain, uint64(drained))
-	}
+	chargeDrain(enc.Meter(), p, drained)
 	if wasHot {
 		observe(p, KindPark, 1)
 	}
 	return nil
 }
-
-// Stats returns the ring's tally so far.
-func (r *OCallRing) Stats() Stats { return r.snapshot() }

@@ -28,6 +28,10 @@ func testEnclave(t *testing.T) *core.Enclave {
 			"echo": func(env *core.Env, arg []byte) ([]byte, error) {
 				return append([]byte(nil), arg...), nil
 			},
+			// relay asks the bound host to echo arg: one Env.OCall.
+			"relay": func(env *core.Env, arg []byte) ([]byte, error) {
+				return env.OCall("host.echo", arg)
+			},
 		},
 	}
 	enc, err := plat.Launch(prog, signer)
@@ -220,7 +224,7 @@ func TestOCallRing(t *testing.T) {
 	host := core.HostFunc(func(service string, arg []byte) ([]byte, error) {
 		return []byte(service), nil
 	})
-	r := NewOCallRing(enc, host, Config{Capacity: 8, Batch: 2, SpinBudget: 100})
+	r := newOCallRing(enc, host, Config{Capacity: 8, Batch: 2, SpinBudget: 100})
 
 	// Doorbell fallback pays the synchronous EEXIT/ERESUME pair.
 	out, err := r.OCall("net.send", []byte("x"))
@@ -237,7 +241,7 @@ func TestOCallRing(t *testing.T) {
 	if want := uint64(2 + core.SGXInstRingDrain); tal.SGXU != want {
 		t.Fatalf("%d SGX, want %d", tal.SGXU, want)
 	}
-	if st := r.Stats(); st.Calls != 2 || st.Drains != 1 {
+	if st := r.snapshot(); st.Calls != 2 || st.Drains != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -390,7 +394,7 @@ func TestOCallFallbackFailureChargesNothing(t *testing.T) {
 	refuse := core.HostFunc(func(service string, arg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("host refuses %q", service)
 	})
-	r := NewOCallRing(enc, refuse, Config{Capacity: 8, Batch: 4, SpinBudget: 100})
+	r := newOCallRing(enc, refuse, Config{Capacity: 8, Batch: 4, SpinBudget: 100})
 	enc.Meter().SnapshotAndReset()
 
 	if _, err := r.OCall("svc", nil); err == nil {
@@ -399,7 +403,7 @@ func TestOCallFallbackFailureChargesNothing(t *testing.T) {
 	if tal := enc.Meter().Snapshot(); tal.SGXU != 0 || tal.Normal != 0 {
 		t.Fatalf("failed OCall fallback charged %+v, want zero", tal)
 	}
-	for _, kind := range []string{KindFallback, KindFallbackParked, core.KindEEXIT, core.KindERESUME} {
+	for _, kind := range []string{KindFallback, KindFallbackParked, core.KindEEXIT, core.KindERESUME, core.KindEnclaveOCall} {
 		if got := probe.get(kind); got != 0 {
 			t.Fatalf("failed OCall fallback fired %s ×%d, want none", kind, got)
 		}

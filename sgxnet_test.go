@@ -36,9 +36,7 @@ func TestFacadeAttestationFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	tShim := sgxnet.NewMsgShim(hostT, target.Meter())
-	var mhT sgxnet.MultiHost
-	mhT.Mount("msg.", tShim)
-	target.BindHost(&mhT)
+	target.BindHost(tShim)
 
 	cst := sgxnet.NewChallengerState(sgxnet.AttestPolicy{
 		AllowedEnclaves: []sgxnet.Measurement{sgxnet.MeasureProgram(tprog)},
@@ -50,9 +48,7 @@ func TestFacadeAttestationFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	cShim := sgxnet.NewMsgShim(hostC, challenger.Meter())
-	var mhC sgxnet.MultiHost
-	mhC.Mount("msg.", cShim)
-	challenger.BindHost(&mhC)
+	challenger.BindHost(cShim)
 
 	l, err := hostT.Listen("app")
 	if err != nil {
