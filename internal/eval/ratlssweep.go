@@ -138,7 +138,9 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 	}
 	prog := ratlsSweepSubject()
 	certs := make([][]byte, ratlsSweepPeers)
+	peers := make([]string, ratlsSweepPeers) // named once, not per admission
 	for i := range certs {
+		peers[i] = fmt.Sprintf("peer-%d", i)
 		enc, err := plat.Launch(prog, signer)
 		if err != nil {
 			return pt, err
@@ -195,12 +197,10 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 		sm.GaugeAt("ratls.cache.hitrate.pct", now, uint64(st.HitRate()*100))
 	}
 
-	peerName := func(i int) string { return fmt.Sprintf("peer-%d", i%ratlsSweepPeers) }
-
 	// Cold phase: first sight of every certificate, serially.
 	sp := tr.Begin(track, "ratls.cold", meter)
 	for i := 0; i < ratlsSweepPeers; i++ {
-		if err := admit(peerName(i), certs[i%ratlsSweepPeers]); err != nil {
+		if err := admit(peers[i], certs[i]); err != nil {
 			return pt, fmt.Errorf("eval: cold admission %d: %w", i, err)
 		}
 	}
@@ -227,7 +227,7 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 			defer wg.Done()
 			for i := w; i < warmConns; i += workers {
 				j := ratlsSweepPeers + i
-				if err := admit(peerName(j), certs[j%ratlsSweepPeers]); err != nil {
+				if err := admit(peers[j%ratlsSweepPeers], certs[j%ratlsSweepPeers]); err != nil {
 					errs[w] = fmt.Errorf("eval: warm admission %d: %w", j, err)
 					return
 				}

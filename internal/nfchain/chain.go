@@ -257,8 +257,8 @@ func processOne(m *core.Meter, stage Stage, rules *RuleSet, idx int, p *Packet, 
 
 // Verdict wire format: action(1) ‖ target(1) ‖ cont(1) ‖ alert(1) ‖
 // matched(1) ‖ examined(4 LE) ‖ [packet wire, forward/mirror only].
-// Stage indices ride one byte with 0xFF = none; Compile bounds chains
-// far below 255 stages in practice (and encode checks).
+// Stage indices ride one byte with 0xFF = none; Compile rejects chains
+// of more than maxStages (255) stages, so every index fits below 0xFF.
 const verdictHeaderLen = 9
 
 func idxByte(i int) byte {

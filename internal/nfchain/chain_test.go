@@ -368,3 +368,44 @@ func TestReencryptRotatesKeys(t *testing.T) {
 		t.Fatalf("failed open charged %+v", d)
 	}
 }
+
+// TestChainStageBound pins the one-byte stage index of the verdict
+// encoding: Compile rejects a 256-stage layout, and at 255 stages a
+// forward and a mirror to the last stage survive encodeVerdict and
+// decodeVerdict.
+func TestChainStageBound(t *testing.T) {
+	stages := make([]string, maxStages+1)
+	for i := range stages {
+		stages[i] = fmt.Sprintf("s%d", i)
+	}
+	if _, err := Compile(nil, stages); err == nil {
+		t.Fatalf("Compile accepted %d stages", len(stages))
+	}
+	stages = stages[:maxStages]
+	last := len(stages) - 1
+	rs, err := CompileText(fmt.Sprintf("at s0 match * -> forward:s%d\nat s%d match * -> mirror:s%d", last, last-1, last), stages)
+	if err != nil {
+		t.Fatalf("Compile rejected %d stages: %v", len(stages), err)
+	}
+	for _, c := range []struct {
+		stage      int
+		act        Action
+		target, co int
+	}{{0, ActForward, last, -1}, {last - 1, ActMirror, last, last}} {
+		p := Packet{Flow: 9, Payload: []byte("x")}
+		v := rs.Evaluate(core.NewMeter(), c.stage, &p)
+		if v.Action != c.act || v.Target != c.target || v.Cont != c.co {
+			t.Fatalf("stage %d: verdict %+v, want %v to %d, continuing to %d", c.stage, v, c.act, c.target, c.co)
+		}
+		got, _, pkt, err := decodeVerdict(encodeVerdict(v, false, &p))
+		if err != nil {
+			t.Fatalf("stage %d: decodeVerdict: %v", c.stage, err)
+		}
+		if got.Action != v.Action || got.Target != v.Target || got.Cont != v.Cont || got.Examined != v.Examined {
+			t.Fatalf("stage %d: verdict %+v decoded as %+v", c.stage, v, got)
+		}
+		if pkt.Flow != p.Flow || string(pkt.Payload) != "x" {
+			t.Fatalf("stage %d: packet %+v decoded as %+v", c.stage, p, pkt)
+		}
+	}
+}

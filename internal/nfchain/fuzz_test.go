@@ -10,10 +10,14 @@ import (
 // supplied rule text crosses into the enclave, so the parser must never
 // panic, never exceed the table bound, must agree with the reference
 // parser (rule for rule, or error text for error text), and anything it
-// does accept must compile into an engine that terminates and charges
-// exactly CostRuleEval per examined rule. The checked-in corpus covers
-// the interesting shapes: a genuine table, a table-bound overflow, a
-// duplicate rule, an unknown action, and a routing cycle.
+// does accept must compile into an engine that terminates, charges
+// exactly CostRuleEval per examined rule, and agrees with the reference
+// evaluator's whole-table walk at every stage (verdict for verdict and
+// charge for charge). The checked-in corpus covers the interesting
+// shapes: a genuine table, a table-bound overflow, a duplicate rule, an
+// unknown action, a routing cycle, ASCII and Unicode separators, a
+// non-ASCII stage name, an eight-field line and one predicate at two
+// stages.
 func FuzzChainRules(f *testing.F) {
 	f.Add("at classify match dst=23 -> drop\nat dpi match tag=malware -> drop\n")
 	f.Add("at classify match flow=4294967296 -> drop")
@@ -39,6 +43,8 @@ func FuzzChainRules(f *testing.F) {
 		m := core.NewMeter()
 		pkt := Packet{Flow: 1, SrcPort: 40000, DstPort: 443, Proto: 6}
 		for stage := range testStages {
+			evaluatorsAgree(t, rs, stage, pkt)
+			evaluatorsAgree(t, rs, stage, Packet{})
 			pre := m.Snapshot()
 			v := rs.Evaluate(m, stage, &pkt)
 			if v.Examined < 0 || v.Examined > len(rules) {
