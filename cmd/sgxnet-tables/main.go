@@ -16,6 +16,8 @@
 //	sgxnet-tables -series out.om -series-format openmetrics
 //	sgxnet-tables -cpuprofile cpu.pprof  # host CPU profile, labelled by section
 //	go tool pprof -tags cpu.pprof        # its CPU per section
+//	sgxnet-tables -memprofile mem.pprof  # host heap profile, written at exit
+//	go tool pprof -sample_index=alloc_space -top mem.pprof  # allocation by site
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"runtime/pprof"
 
 	"sgxnet/internal/core"
@@ -118,6 +121,7 @@ type options struct {
 	series       string // series output path; "" disables the sampler layer
 	seriesFormat string // "csv" (default) or "openmetrics"
 	cpuProfile   string // CPU profile output path; "" = off
+	memProfile   string // heap profile output path; "" = off
 }
 
 // runs reports whether the run includes s: the sections the selecting
@@ -151,6 +155,7 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.series, "series", "", "write windowed time-series metrics (virtual-clock windows) to this file")
 	fs.StringVar(&o.seriesFormat, "series-format", "csv", "series format: csv (for sgxnet-trace -series) or openmetrics")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file, each sample labelled with its section")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file at exit: the run's allocations by site")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -177,6 +182,17 @@ func parse(fs *flag.FlagSet, args []string) (options, error) {
 // which the goroutines it starts inherit, so a -cpuprofile splits by
 // section (go tool pprof -tagfocus section=...).
 func emit(w io.Writer, o options) (err error) {
+	if o.memProfile != "" {
+		write, perr := profileHeap(o.memProfile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if werr := write(); err == nil {
+				err = werr
+			}
+		}()
+	}
 	if o.cpuProfile != "" {
 		stop, perr := profileCPU(o.cpuProfile)
 		if perr != nil {
@@ -263,6 +279,24 @@ func profileCPU(path string) (stop func() error, err error) {
 	}
 	return func() error {
 		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// profileHeap creates path for a heap profile. The returned write
+// records the profile — every allocation since the process started, by
+// site, and the heap live after a collection — and closes the file.
+func profileHeap(path string) (write func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		runtime.GC() // so the live-heap samples are current
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
 		return f.Close()
 	}, nil
 }

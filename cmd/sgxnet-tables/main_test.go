@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -175,6 +177,34 @@ func TestGoldenCSV(t *testing.T) {
 	if want := readGolden(t, "fig3-csv", got); !bytes.Equal(got, want) {
 		t.Errorf("CSV output diverges from %s (rerun with -update if intended)\n%s",
 			golden("fig3-csv"), firstDiff(got, want))
+	}
+}
+
+// TestMemProfile: -memprofile writes a heap profile that decompresses
+// and names its allocation samples, and leaves the transcript as it is.
+func TestMemProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mem.pprof")
+	got := render(t, "-table", "1", "-memprofile", path)
+	if want := render(t, "-table", "1"); !bytes.Equal(got, want) {
+		t.Fatalf("-memprofile changed the output\n%s", firstDiff(got, want))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not a gzip-compressed profile: %v", path, err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	for _, name := range []string{"alloc_space", "inuse_space"} {
+		if !bytes.Contains(raw, []byte(name)) {
+			t.Errorf("heap profile (%d bytes) does not name %q", len(raw), name)
+		}
 	}
 }
 

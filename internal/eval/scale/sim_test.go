@@ -2,6 +2,7 @@ package scale
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -121,5 +122,27 @@ func TestRunBacklogIsGenuine(t *testing.T) {
 	r := mustRun(t, "sdn:ases=16,updates=2,rate=0.01,seed=1")
 	if r.PeakLive > 3 {
 		t.Fatalf("peak live %d for an idle cell — arrival injection is eager", r.PeakLive)
+	}
+}
+
+// TestScaleCellAllocBound: the saturated 100-relay Tor cell, the scale
+// sweep's largest backlog (89,243 events live at once), allocates under
+// 14 MB in all. Its event heap is most of that, so a fatter event
+// record shows here first; with 40-byte events it took 17.6 MB.
+func TestScaleCellAllocBound(t *testing.T) {
+	sp, err := ParseSpec("tor:relays=100,flows=100000,hops=3,rate=4000,seed=7,arrival=poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(sp)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 14_000_000
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Fatalf("cell allocated %d bytes (peak live %d events), want < %d", got, res.PeakLive, bound)
 	}
 }

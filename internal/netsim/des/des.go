@@ -24,6 +24,7 @@
 package des
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -57,33 +58,43 @@ type Sampler interface {
 // opaque word the scheduler passes through, typically a packed
 // (operation index, stage) pair — so a million-event simulation needs
 // one handler value and zero per-event allocations.
+//
+// The kernel interns each distinct handler in a table of its own and
+// stores only the handler's slot in an event, so the event heap holds
+// no pointers. That sets the contract: a handler must be comparable
+// (a pointer, or a value type whose fields all compare; two equal
+// values are the same handler), the kernel keeps every handler it has
+// been given for the kernel's lifetime, and one kernel holds at most
+// 65,535 distinct handlers — scheduling one more panics.
 type Handler interface {
 	OnEvent(now uint64, arg uint64)
 }
 
-// funcHandler adapts a closure to Handler for callers (the netsim fault
-// path) that need to capture state per event and can afford the
-// allocation.
-type funcHandler struct{ fn func(now uint64) }
+// An event's key packs its schedule sequence above its handler slot:
+// key = seq<<slotBits | slot. Sequences are unique, so ordering events
+// by (at, key) is ordering them by (at, seq), and a kernel may schedule
+// 2^48 events before the sequence wraps.
+const (
+	slotBits = 16
+	// funcSlot marks a closure event: its arg indexes the closure
+	// table. Every other slot names an interned handler, so a kernel
+	// holds at most funcSlot (65,535) of them.
+	funcSlot = 1<<slotBits - 1
+)
 
-func (h *funcHandler) OnEvent(now uint64, _ uint64) { h.fn(now) }
-
-// event is one heap entry. Ordering is (at, seq): seq breaks timestamp
-// ties in schedule order, which makes the pop order a total order that
-// never depends on heap internals.
+// event is one heap entry: 24 bytes and no pointers, so the heap array
+// is never scanned by the garbage collector and a sift moves three
+// plain words. Ordering is (at, key), a total order that never depends
+// on heap internals.
 type event struct {
 	at  uint64
-	seq uint64
-	h   Handler
-	arg uint64
+	key uint64 // seq<<slotBits | handler slot
+	arg uint64 // the handler's arg, or the closure's table index
 }
 
 // before is the heap ordering predicate.
 func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+	return e.at < o.at || e.at == o.at && e.key < o.key
 }
 
 // Stats is a kernel snapshot.
@@ -106,6 +117,16 @@ type Kernel struct {
 	seq  uint64
 	now  uint64
 
+	// handlers maps a slot to its interned handler, and slots the
+	// reverse.
+	handlers []Handler
+	slots    map[Handler]uint64
+
+	// funcs holds each AtFunc/AfterFunc closure from its schedule until
+	// it fires; free lists the emptied entries for reuse.
+	funcs []func(now uint64)
+	free  []uint64
+
 	processed uint64
 	peakLive  int
 
@@ -117,7 +138,7 @@ type Kernel struct {
 
 // New creates an empty kernel with the clock at zero.
 func New() *Kernel {
-	k := &Kernel{}
+	k := &Kernel{slots: make(map[Handler]uint64)}
 	k.cond = sync.NewCond(&k.mu)
 	return k
 }
@@ -134,14 +155,6 @@ func (k *Kernel) SetSeries(s Sampler) {
 	k.mu.Unlock()
 }
 
-// samplePop records one pop at time t. Caller holds k.mu.
-func (k *Kernel) samplePop(t uint64) {
-	if k.series != nil {
-		k.series.CountAt("des.events", t, 1)
-		k.series.GaugeAt("des.backlog", t, uint64(len(k.heap)))
-	}
-}
-
 // Now returns the virtual clock: the timestamp of the most recently
 // fired event (events run "at" their timestamp, so inside a handler Now
 // equals the handler's own time).
@@ -155,38 +168,83 @@ func (k *Kernel) Now() uint64 {
 // current clock — the kernel never runs time backwards.
 func (k *Kernel) At(t uint64, h Handler, arg uint64) {
 	k.mu.Lock()
+	k.schedule(t, k.slot(h), arg)
+	k.mu.Unlock()
+}
+
+// After schedules h.OnEvent at Now()+d cycles, saturating at the
+// clock's maximum rather than wrapping into the past.
+func (k *Kernel) After(d uint64, h Handler, arg uint64) {
+	k.mu.Lock()
+	k.schedule(k.later(d), k.slot(h), arg)
+	k.mu.Unlock()
+}
+
+// AtFunc schedules a closure, which the kernel holds only until it
+// fires. Prefer At with a shared Handler on hot paths.
+func (k *Kernel) AtFunc(t uint64, fn func(now uint64)) {
+	k.mu.Lock()
+	k.schedule(t, funcSlot, k.park(fn))
+	k.mu.Unlock()
+}
+
+// AfterFunc schedules a closure at Now()+d cycles, saturating as After
+// does.
+func (k *Kernel) AfterFunc(d uint64, fn func(now uint64)) {
+	k.mu.Lock()
+	k.schedule(k.later(d), funcSlot, k.park(fn))
+	k.mu.Unlock()
+}
+
+// later is the clock plus d, saturated at math.MaxUint64. Caller holds
+// k.mu.
+func (k *Kernel) later(d uint64) uint64 {
+	if d > math.MaxUint64-k.now {
+		return math.MaxUint64
+	}
+	return k.now + d
+}
+
+// schedule pushes an event for slot at t, clamped to the clock. Caller
+// holds k.mu.
+func (k *Kernel) schedule(t, slot, arg uint64) {
 	if t < k.now {
 		t = k.now
 	}
-	k.push(event{at: t, seq: k.seq, h: h, arg: arg})
+	k.push(event{at: t, key: k.seq<<slotBits | slot, arg: arg})
 	k.seq++
 	if k.bg {
 		k.cond.Signal()
 	}
-	k.mu.Unlock()
 }
 
-// After schedules h.OnEvent at Now()+d cycles.
-func (k *Kernel) After(d uint64, h Handler, arg uint64) {
-	k.mu.Lock()
-	t := k.now + d
-	k.push(event{at: t, seq: k.seq, h: h, arg: arg})
-	k.seq++
-	if k.bg {
-		k.cond.Signal()
+// slot interns h and returns its handler slot. Caller holds k.mu; a
+// kernel that would exceed its handler table releases k.mu and panics.
+func (k *Kernel) slot(h Handler) uint64 {
+	if s, ok := k.slots[h]; ok {
+		return s
 	}
-	k.mu.Unlock()
+	if len(k.handlers) == funcSlot {
+		k.mu.Unlock()
+		panic("des: more than 65535 distinct handlers on one kernel")
+	}
+	s := uint64(len(k.handlers))
+	k.slots[h] = s
+	k.handlers = append(k.handlers, h)
+	return s
 }
 
-// AtFunc schedules a closure; one allocation per call. Prefer At with a
-// shared Handler on hot paths.
-func (k *Kernel) AtFunc(t uint64, fn func(now uint64)) {
-	k.At(t, &funcHandler{fn: fn}, 0)
-}
-
-// AfterFunc schedules a closure at Now()+d cycles.
-func (k *Kernel) AfterFunc(d uint64, fn func(now uint64)) {
-	k.After(d, &funcHandler{fn: fn}, 0)
+// park stores fn in the closure table and returns its index. Caller
+// holds k.mu.
+func (k *Kernel) park(fn func(now uint64)) uint64 {
+	if n := len(k.free); n > 0 {
+		i := k.free[n-1]
+		k.free = k.free[:n-1]
+		k.funcs[i] = fn
+		return i
+	}
+	k.funcs = append(k.funcs, fn)
+	return uint64(len(k.funcs) - 1)
 }
 
 // Len reports the number of pending events.
@@ -203,6 +261,45 @@ func (k *Kernel) Stats() Stats {
 	return Stats{Processed: k.processed, Scheduled: k.seq, PeakLive: k.peakLive, Now: k.now}
 }
 
+// firing is a popped event with what runs it: a handler or a closure.
+type firing struct {
+	at, arg uint64
+	h       Handler
+	fn      func(now uint64)
+}
+
+// run executes the event. Callers run it without k.mu, so it may
+// schedule freely.
+func (f *firing) run() {
+	if f.fn != nil {
+		f.fn(f.at)
+		return
+	}
+	f.h.OnEvent(f.at, f.arg)
+}
+
+// take pops the earliest event, advances the clock to its timestamp
+// and looks up what runs it, releasing a closure's table entry. Caller
+// holds k.mu and guarantees the heap is non-empty.
+func (k *Kernel) take() firing {
+	e := k.pop()
+	k.now = e.at
+	k.processed++
+	if k.series != nil {
+		k.series.CountAt("des.events", e.at, 1)
+		k.series.GaugeAt("des.backlog", e.at, uint64(len(k.heap)))
+	}
+	f := firing{at: e.at, arg: e.arg}
+	if slot := e.key & funcSlot; slot == funcSlot {
+		f.fn = k.funcs[e.arg]
+		k.funcs[e.arg] = nil
+		k.free = append(k.free, e.arg)
+	} else {
+		f.h = k.handlers[slot]
+	}
+	return f
+}
+
 // Step pops and executes the earliest event, advancing the clock to its
 // timestamp. It reports false when the heap is empty. The handler runs
 // outside the kernel lock, so it may schedule freely.
@@ -212,12 +309,9 @@ func (k *Kernel) Step() bool {
 		k.mu.Unlock()
 		return false
 	}
-	e := k.pop()
-	k.now = e.at
-	k.processed++
-	k.samplePop(e.at)
+	f := k.take()
 	k.mu.Unlock()
-	e.h.OnEvent(e.at, e.arg)
+	f.run()
 	return true
 }
 
@@ -244,12 +338,9 @@ func (k *Kernel) RunUntil(t uint64) Stats {
 			k.mu.Unlock()
 			return k.Stats()
 		}
-		e := k.pop()
-		k.now = e.at
-		k.processed++
-		k.samplePop(e.at)
+		f := k.take()
 		k.mu.Unlock()
-		e.h.OnEvent(e.at, e.arg)
+		f.run()
 	}
 }
 
@@ -282,12 +373,9 @@ func (k *Kernel) Background() (stop func()) {
 				k.mu.Unlock()
 				return
 			}
-			e := k.pop()
-			k.now = e.at
-			k.processed++
-			k.samplePop(e.at)
+			f := k.take()
 			k.mu.Unlock()
-			e.h.OnEvent(e.at, e.arg)
+			f.run()
 		}
 	}()
 	var once sync.Once
@@ -303,46 +391,54 @@ func (k *Kernel) Background() (stop func()) {
 	}
 }
 
-// push inserts an event. Caller holds k.mu.
+// push inserts an event, sifting a hole up from the end so each level
+// costs one move rather than a swap. Caller holds k.mu.
 func (k *Kernel) push(e event) {
-	k.heap = append(k.heap, e)
-	i := len(k.heap) - 1
+	h := append(k.heap, e)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !k.heap[i].before(&k.heap[parent]) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		k.heap[i], k.heap[parent] = k.heap[parent], k.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
-	if len(k.heap) > k.peakLive {
-		k.peakLive = len(k.heap)
+	h[i] = e
+	k.heap = h
+	if len(h) > k.peakLive {
+		k.peakLive = len(h)
 	}
 }
 
-// pop removes and returns the earliest event. Caller holds k.mu and
-// guarantees the heap is non-empty.
+// pop removes and returns the earliest event, sifting the hole it
+// leaves at the root down to where the last event belongs. Caller
+// holds k.mu and guarantees the heap is non-empty.
 func (k *Kernel) pop() event {
-	top := k.heap[0]
-	last := len(k.heap) - 1
-	k.heap[0] = k.heap[last]
-	k.heap[last] = event{} // release the Handler reference
-	k.heap = k.heap[:last]
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	k.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < last && k.heap[l].before(&k.heap[min]) {
-			min = l
-		}
-		if r < last && k.heap[r].before(&k.heap[min]) {
-			min = r
-		}
-		if min == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		k.heap[i], k.heap[min] = k.heap[min], k.heap[i]
-		i = min
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = last
 	return top
 }

@@ -1,7 +1,9 @@
 package des
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -270,5 +272,136 @@ func TestDurationCycles(t *testing.T) {
 	}
 	if got := DurationCycles(-time.Second); got != 0 {
 		t.Fatalf("negative duration = %d cycles, want 0", got)
+	}
+}
+
+// TestAfterSaturates: a delay past the end of the clock saturates at
+// math.MaxUint64 instead of wrapping to a time before Now — After
+// keeps the never-backwards invariant At keeps by clamping.
+func TestAfterSaturates(t *testing.T) {
+	k := New()
+	rec := &recorder{}
+	k.At(1000, rec, 0)
+	k.Step()
+	k.After(math.MaxUint64-10, rec, 1)
+	k.AfterFunc(math.MaxUint64, func(uint64) {})
+	k.Step()
+	if now := k.Now(); now != math.MaxUint64 {
+		t.Fatalf("After(MaxUint64-10) at clock 1000 fired at %d, want %d", now, uint64(math.MaxUint64))
+	}
+	k.Step()
+	if now := k.Now(); now != math.MaxUint64 {
+		t.Fatalf("AfterFunc(MaxUint64) left the clock at %d, want %d", now, uint64(math.MaxUint64))
+	}
+}
+
+// TestEventRecord pins the event heap's element: 24 bytes of plain
+// words, so the heap array holds no pointer for the garbage collector
+// to scan and a sift writes none.
+func TestEventRecord(t *testing.T) {
+	typ := reflect.TypeOf(event{})
+	if typ.Size() != 24 {
+		t.Errorf("event is %d bytes, want 24", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("event.%s is a %s, want a uint64", f.Name, f.Type)
+		}
+	}
+}
+
+// counter counts its events.
+type counter struct{ n int }
+
+func (c *counter) OnEvent(uint64, uint64) { c.n++ }
+
+// TestAtStepAllocs: with its heap warm, scheduling and firing an event
+// for an already-interned handler allocates nothing.
+func TestAtStepAllocs(t *testing.T) {
+	k := New()
+	h := &counter{}
+	for i := 0; i < 1024; i++ {
+		k.At(uint64(i*7919%4096), h, 0)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.At(k.Now()+4096, h, 1)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step made %.1f allocations, want 0", allocs)
+	}
+}
+
+// idHandler is a comparable value handler: each distinct value is a
+// distinct handler.
+type idHandler uint32
+
+func (idHandler) OnEvent(uint64, uint64) {}
+
+// TestHandlerTableBound: a kernel interns up to 65,535 distinct
+// handlers, an equal value reuses its slot, and one more panics with
+// the kernel left usable.
+func TestHandlerTableBound(t *testing.T) {
+	const most = 65_535
+	k := New()
+	for i := 0; i < most; i++ {
+		k.At(0, idHandler(i), 0)
+	}
+	k.At(0, idHandler(7), 0) // interned already: no new slot
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("scheduling a 65,536th distinct handler did not panic")
+			}
+		}()
+		k.At(0, idHandler(most), 0)
+	}()
+	if n := k.Len(); n != most+1 {
+		t.Fatalf("%d events pending after the panic, want %d", n, most+1)
+	}
+	k.AtFunc(0, func(uint64) {})
+	if st := k.Run(); st.Processed != most+2 {
+		t.Fatalf("processed %d events, want %d", st.Processed, most+2)
+	}
+}
+
+// TestBackgroundReleasesClosures: goroutines scheduling closures and
+// handlers of their own into a draining kernel share its handler and
+// closure tables; once every closure has fired, the closure table holds
+// none of them.
+func TestBackgroundReleasesClosures(t *testing.T) {
+	k := New()
+	stop := k.Background()
+	const goroutines, per = 4, 250
+	var fired sync.WaitGroup
+	fired.Add(goroutines * per)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := &counter{}
+			for i := 0; i < per; i++ {
+				k.AfterFunc(uint64(i%7), func(uint64) { fired.Done() })
+				k.After(uint64(i%5), idHandler(g), 0)
+				k.At(0, h, 0)
+			}
+		}(g)
+	}
+	wg.Wait()
+	fired.Wait()
+	stop()
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i, fn := range k.funcs {
+		if fn != nil {
+			t.Fatalf("closure table entry %d still held after it fired", i)
+		}
+	}
+	if len(k.free) != len(k.funcs) {
+		t.Fatalf("%d of %d closure table entries free, want all", len(k.free), len(k.funcs))
+	}
+	if len(k.handlers) != 2*goroutines {
+		t.Fatalf("%d handlers interned, want %d", len(k.handlers), 2*goroutines)
 	}
 }
