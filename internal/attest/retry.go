@@ -17,9 +17,12 @@ import (
 // whole protocol on a fresh connection with a fresh nonce (partial runs
 // cannot be resumed: the quote binds the nonce), and each charges the
 // challenger enclave's meter, so robustness shows up in the cost tables
-// rather than looking free.
+// rather than looking free. RetryPolicy.Do is the one retry loop: the
+// attestation drivers below and the tor client's circuit builds run on
+// it.
 
-// RetryPolicy bounds the attestation retry loop.
+// RetryPolicy bounds a retry loop (see Do). A nil *RetryPolicy is the
+// seed's behavior: one attempt whose receives block.
 type RetryPolicy struct {
 	// Attempts is the total number of protocol runs tried (first attempt
 	// included) before giving up.
@@ -27,7 +30,7 @@ type RetryPolicy struct {
 
 	// RecvTimeout is the deadline on each untrusted receive in the
 	// driver; it is also the natural value for the server-side shim's
-	// SetRecvTimeout. Zero blocks forever (the pre-hardening behavior).
+	// SetRecvTimeout.
 	RecvTimeout time.Duration
 
 	// Backoff is the sleep before the second attempt; it doubles per
@@ -44,7 +47,10 @@ func DefaultRetryPolicy() RetryPolicy {
 		Backoff: 10 * time.Millisecond, BackoffMax: 200 * time.Millisecond}
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// WithDefaults fills every zero (or negative) field from
+// DefaultRetryPolicy. Holders of a policy resolve it once, so the
+// deadlines they arm and the attempts and backoff Do runs agree.
+func (p RetryPolicy) WithDefaults() RetryPolicy {
 	d := DefaultRetryPolicy()
 	if p.Attempts <= 0 {
 		p.Attempts = d.Attempts
@@ -61,6 +67,30 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
+// Do is the retry loop. It calls try with attempt 0, 1, ... until try
+// succeeds, fails with an error retryable rejects, or the policy's
+// attempts (zero fields defaulted) run out, and returns how many
+// retries it made with the last attempt's error. Before each retry it
+// charges core.CostRetryAttempt to m and sleeps the backoff, which
+// doubles per retry up to BackoffMax. A nil policy makes one attempt:
+// no charge, no sleep, and the attempt's own error.
+func (p *RetryPolicy) Do(m *core.Meter, retryable func(error) bool, try func(attempt int) error) (retries int, err error) {
+	if p == nil {
+		return 0, try(0)
+	}
+	pol := p.WithDefaults()
+	backoff := pol.Backoff
+	for attempt := 0; ; attempt++ {
+		err = try(attempt)
+		if err == nil || attempt+1 >= pol.Attempts || !retryable(err) {
+			return attempt, err
+		}
+		m.ChargeNormal(core.CostRetryAttempt)
+		time.Sleep(backoff)
+		backoff = min(2*backoff, pol.BackoffMax)
+	}
+}
+
 // Transient reports whether an attestation failure is worth retrying.
 // Policy rejections are final — the peer's build is not on the whitelist,
 // and dialing again will not change its measurement. Everything else
@@ -75,60 +105,58 @@ func Transient(err error) bool {
 	return !errors.As(err, &pe)
 }
 
-// ChallengeRetry runs the challenger side with deadlines and bounded
-// exponential backoff. dial opens a fresh connection per attempt — the
-// application owns addressing and any preamble it must send before the
-// protocol (e.g. a service banner). On success it returns the live
-// connection, its connID (holding the established session), the attested
-// identity, and how many retries were needed. Pending enclave state of
-// failed attempts is aborted, and each retry charges
-// core.CostRetryAttempt to the challenger enclave's meter. With a
-// non-nil trace, every retry records an "attest.retry" instant event on
-// track (with the attempt number and the error that forced it), and the
+// ChallengeRetry runs the challenger side on pol's retry loop (Do),
+// with pol's deadline on every untrusted receive. dial opens a fresh
+// connection per attempt — the application owns addressing and any
+// preamble it must send before the protocol (e.g. a service banner).
+// On success it returns the live connection, its connID (holding the
+// established session), the attested identity, and how many retries
+// were needed. Pending enclave state of failed attempts is aborted, and
+// each retry charges core.CostRetryAttempt to the challenger enclave's
+// meter. A nil pol is one attempt whose receives block: Challenge
+// without its span, returning the attempt's own error. With a non-nil
+// trace, every retry records an "attest.retry" instant event on track
+// (with the attempt number and the error that forced it), and the
 // enclave rounds of each attempt become spans, so a trace shows exactly
 // how much of an attestation's cost the network adversary caused. A nil
 // trace records nothing.
 func ChallengeRetry(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
-	dial func() (*netsim.Conn, error), wantDH bool, pol RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
-	pol = pol.withDefaults()
-	backoff := pol.Backoff
-	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
+	dial func() (*netsim.Conn, error), wantDH bool, pol *RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
+	var recvTimeout time.Duration // nil policy: block
+	if pol != nil {
+		recvTimeout = pol.WithDefaults().RecvTimeout
+	}
+	var (
+		conn    *netsim.Conn
+		cid     uint32
+		id      Identity
+		lastErr error
+	)
+	retries, err := pol.Do(enc.Meter(), Transient, func(attempt int) error {
 		if attempt > 0 {
-			enc.Meter().ChargeNormal(core.CostRetryAttempt)
 			tr.Event(track, "attest.retry", map[string]string{
 				"attempt": fmt.Sprint(attempt),
 				"cause":   lastErr.Error(),
 			})
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > pol.BackoffMax {
-				backoff = pol.BackoffMax
-			}
 		}
-		conn, err := dial()
-		if err != nil {
-			lastErr = err
-			if !Transient(err) {
-				break
-			}
-			continue
+		if conn, lastErr = dial(); lastErr != nil {
+			return lastErr
 		}
-		cid, id, err := challengeOnce(tr, track, enc, shim, conn, wantDH, pol.RecvTimeout)
-		if err == nil {
-			return conn, cid, id, attempt, nil
+		if cid, id, lastErr = challengeOnce(tr, track, enc, shim, conn, wantDH, recvTimeout); lastErr != nil {
+			st.Abort(cid)
+			// finish may have stored a session before the ack was lost;
+			// the connection is dead, so the session goes with it.
+			st.Drop(cid)
 		}
-		st.Abort(cid)
-		// finish may have stored a session before the ack was lost; the
-		// connection is dead, so the session goes with it.
-		st.Drop(cid)
-		lastErr = err
-		if !Transient(err) {
-			break
+		return lastErr
+	})
+	if err != nil {
+		if pol != nil {
+			err = fmt.Errorf("attest: attestation failed after %d attempts: %w", retries+1, err)
 		}
+		return nil, 0, Identity{}, retries, err
 	}
-	return nil, 0, Identity{}, pol.Attempts - 1,
-		fmt.Errorf("attest: attestation failed after %d attempts: %w", pol.Attempts, lastErr)
+	return conn, cid, id, retries, nil
 }
 
 // An Invalidator purges verification state cached outside the session
@@ -153,7 +181,7 @@ type Invalidator interface {
 // since-revoked peer fails the challenger's current Policy, because no
 // cached verdict survives to shortcut the check.
 func Reestablish(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
-	oldConnID uint32, inv Invalidator, dial func() (*netsim.Conn, error), wantDH bool, pol RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
+	oldConnID uint32, inv Invalidator, dial func() (*netsim.Conn, error), wantDH bool, pol *RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
 	st.Abort(oldConnID)
 	st.Drop(oldConnID)
 	if inv != nil {

@@ -3,54 +3,15 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
-
-// meterStripes is the number of counter stripes per Meter (a power of
-// two). Concurrent scenario runs charge many meters from many
-// goroutines; striping keeps two writers from bouncing the same cache
-// line between cores, and padding keeps adjacent stripes — and adjacent
-// Meters embedded in larger structs — from false sharing.
-const meterStripes = 8
-
-// meterStripe is one padded counter pair. The two counters occupy 16
-// bytes; the padding rounds the stripe up to a 64-byte cache line.
-type meterStripe struct {
-	sgxU   atomic.Uint64
-	normal atomic.Uint64
-	_      [48]byte
-}
-
-// stripeSeq hands out round-robin stripe assignments to stripeHint's
-// per-P pool entries. The hint is pure placement: every stripe folds
-// into the same totals on read, so which stripe a goroutine lands on
-// never changes any observable tally.
-var stripeSeq atomic.Uint32
-
-var stripeHint = sync.Pool{New: func() any {
-	h := new(uint32)
-	*h = stripeSeq.Add(1)
-	return h
-}}
-
-// stripeIndex picks a stripe for the calling goroutine. sync.Pool is
-// per-P under the hood, so repeated charges from the same goroutine
-// land on the same stripe without any contended shared state.
-func stripeIndex() uint32 {
-	h := stripeHint.Get().(*uint32)
-	i := *h
-	stripeHint.Put(h)
-	return i & (meterStripes - 1)
-}
 
 // A Meter tallies the two quantities the paper's evaluation is built on:
 // SGX usermode instructions and normal instructions. Meters are safe for
 // concurrent use; every enclave owns one, and hosts aggregate them.
-// Counters are sharded across padded stripes and folded on read, so
-// parallel scenario runs never contend on a single cache line.
 type Meter struct {
-	stripes [meterStripes]meterStripe
+	sgxU   atomic.Uint64
+	normal atomic.Uint64
 
 	// running counts enclave calls charging this meter that are not
 	// parked waiting for input; see Settle.
@@ -65,7 +26,7 @@ func (m *Meter) ChargeSGX(n uint64) {
 	if m == nil {
 		return
 	}
-	m.stripes[stripeIndex()].sgxU.Add(n)
+	m.sgxU.Add(n)
 }
 
 // ChargeNormal records n normal instructions.
@@ -73,7 +34,7 @@ func (m *Meter) ChargeNormal(n uint64) {
 	if m == nil {
 		return
 	}
-	m.stripes[stripeIndex()].normal.Add(n)
+	m.normal.Add(n)
 }
 
 // SGX returns the SGX usermode instruction count so far.
@@ -81,11 +42,7 @@ func (m *Meter) SGX() uint64 {
 	if m == nil {
 		return 0
 	}
-	var sum uint64
-	for i := range m.stripes {
-		sum += m.stripes[i].sgxU.Load()
-	}
-	return sum
+	return m.sgxU.Load()
 }
 
 // Normal returns the normal instruction count so far.
@@ -93,22 +50,17 @@ func (m *Meter) Normal() uint64 {
 	if m == nil {
 		return 0
 	}
-	var sum uint64
-	for i := range m.stripes {
-		sum += m.stripes[i].normal.Load()
-	}
-	return sum
+	return m.normal.Load()
 }
 
 // Cycles returns the estimated CPU cycles for the current tallies using the
 // paper's conversion formula.
 func (m *Meter) Cycles() uint64 { return CyclesOf(m.SGX(), m.Normal()) }
 
-// Snapshot captures the current tallies, folding all stripes. With
-// concurrent chargers the result is a consistent point-in-time value
-// per counter but the SGXU/Normal pair is not atomic as a whole: a
-// charge that lands between the two folds appears in Normal but not
-// SGXU (or vice versa). Callers that need an exact period — everything
+// Snapshot captures the current tallies. With concurrent chargers the
+// result is a consistent point-in-time value per counter but the
+// SGXU/Normal pair is not atomic as a whole: a charge that lands
+// between the two loads appears in Normal but not SGXU (or vice versa). Callers that need an exact period — everything
 // charged since the last boundary, each charge in exactly one period —
 // must quiesce chargers first or use SnapshotAndReset.
 func (m *Meter) Snapshot() Tally {
@@ -163,12 +115,7 @@ func (m *Meter) SnapshotAndReset() Tally {
 		return Tally{}
 	}
 	m.Settle()
-	var t Tally
-	for i := range m.stripes {
-		t.SGXU += m.stripes[i].sgxU.Swap(0)
-		t.Normal += m.stripes[i].normal.Swap(0)
-	}
-	return t
+	return Tally{SGXU: m.sgxU.Swap(0), Normal: m.normal.Swap(0)}
 }
 
 // AddTally folds a tally into the meter (used when aggregating per-enclave
@@ -177,9 +124,8 @@ func (m *Meter) AddTally(t Tally) {
 	if m == nil {
 		return
 	}
-	i := stripeIndex()
-	m.stripes[i].sgxU.Add(t.SGXU)
-	m.stripes[i].normal.Add(t.Normal)
+	m.sgxU.Add(t.SGXU)
+	m.normal.Add(t.Normal)
 }
 
 // A Tally is an immutable snapshot of a Meter.

@@ -143,7 +143,7 @@ func faultTolPoint(tr *obs.Trace, i int, drop float64, trials int, pol attest.Re
 		rig.challenger.Meter().SnapshotAndReset()
 		dial := func() (*netsim.Conn, error) { return rig.hostC.Dial("target-host", "app") }
 		conn, cid, _, retries, err := attest.ChallengeRetry(
-			tr, track, rig.challenger, rig.cShim, rig.cState, dial, true, pol)
+			tr, track, rig.challenger, rig.cShim, rig.cState, dial, true, &pol)
 		pt.Retries += retries
 		if err == nil {
 			pt.Successes++

@@ -97,7 +97,7 @@ func TestSeededScheduleAcceptance(t *testing.T) {
 		defer rig.net.SetFaults(nil)
 		dial := func() (*netsim.Conn, error) { return rig.hostC.Dial("target-host", "app") }
 		conn, _, id, retries, err := attest.ChallengeRetry(
-			nil, "", rig.challenger, rig.cShim, rig.cState, dial, true, pol)
+			nil, "", rig.challenger, rig.cShim, rig.cState, dial, true, &pol)
 		if err != nil {
 			t.Fatalf("attestation under partition (replay: %s): %v", fs, err)
 		}

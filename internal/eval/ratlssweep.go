@@ -137,8 +137,11 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 		return pt, err
 	}
 	prog := ratlsSweepSubject()
+	// Each peer is named, and its gate argument framed, once, not per
+	// admission.
 	certs := make([][]byte, ratlsSweepPeers)
-	peers := make([]string, ratlsSweepPeers) // named once, not per admission
+	peers := make([]string, ratlsSweepPeers)
+	frames := make([][]byte, ratlsSweepPeers)
 	for i := range certs {
 		peers[i] = fmt.Sprintf("peer-%d", i)
 		enc, err := plat.Launch(prog, signer)
@@ -148,6 +151,7 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 		if _, certs[i], err = mt.Mint(enc); err != nil {
 			return pt, err
 		}
+		frames[i] = ratls.EncodeAdmit(peers[i], certs[i])
 	}
 
 	v := ratls.NewVerifier(attest.Policy{
@@ -162,8 +166,8 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 	// enclave (one ECALL per admission) in SGX mode. Launch costs are
 	// drained so the phases measure admission only.
 	var meter *core.Meter
-	admit := func(peer string, cert []byte) error {
-		_, err := v.Admit(meter, cert, peer)
+	admit := func(i int) error {
+		_, err := v.Admit(meter, certs[i], peers[i])
 		return err
 	}
 	switch mode {
@@ -176,8 +180,8 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 		}
 		meter = gate.Meter()
 		meter.SnapshotAndReset()
-		admit = func(peer string, cert []byte) error {
-			_, err := gate.Call(ratls.GateService, ratls.EncodeAdmit(peer, cert))
+		admit = func(i int) error {
+			_, err := gate.Call(ratls.GateService, frames[i])
 			return err
 		}
 	default:
@@ -200,7 +204,7 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 	// Cold phase: first sight of every certificate, serially.
 	sp := tr.Begin(track, "ratls.cold", meter)
 	for i := 0; i < ratlsSweepPeers; i++ {
-		if err := admit(peers[i], certs[i]); err != nil {
+		if err := admit(i); err != nil {
 			return pt, fmt.Errorf("eval: cold admission %d: %w", i, err)
 		}
 	}
@@ -227,7 +231,7 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 			defer wg.Done()
 			for i := w; i < warmConns; i += workers {
 				j := ratlsSweepPeers + i
-				if err := admit(peers[j%ratlsSweepPeers], certs[j%ratlsSweepPeers]); err != nil {
+				if err := admit(j % ratlsSweepPeers); err != nil {
 					errs[w] = fmt.Errorf("eval: warm admission %d: %w", j, err)
 					return
 				}

@@ -176,15 +176,11 @@ func (c *Chain) stageProgram(idx int, h *hop) *core.Program {
 					h.admitted.Store(true)
 					return nil, nil
 				}
-				if len(arg) < 2 {
-					return nil, fmt.Errorf("nfchain: short admit arg")
+				peer, cert, err := ratls.DecodeAdmit(arg)
+				if err != nil {
+					return nil, err
 				}
-				n := int(binary.LittleEndian.Uint16(arg[:2]))
-				if len(arg) < 2+n {
-					return nil, fmt.Errorf("nfchain: truncated admit peer")
-				}
-				peer := string(arg[2 : 2+n])
-				id, err := c.cfg.Verifier.Admit(env.Meter(), arg[2+n:], peer)
+				id, err := c.cfg.Verifier.Admit(env.Meter(), cert, peer)
 				if err != nil {
 					return nil, err
 				}

@@ -59,12 +59,25 @@ func ChannelKeys(m *core.Meter, localPub, peerPub ed25519.PublicKey) (tlslite.Ke
 const GateService = "ratls.admit"
 
 // EncodeAdmit frames a gate ECALL argument: peerLen(2) ‖ peer ‖ cert.
+// The length field holds peers of at most 65,535 bytes.
 func EncodeAdmit(peer string, cert []byte) []byte {
 	out := make([]byte, 2, 2+len(peer)+len(cert))
 	binary.LittleEndian.PutUint16(out, uint16(len(peer)))
 	out = append(out, peer...)
 	out = append(out, cert...)
 	return out
+}
+
+// DecodeAdmit parses an EncodeAdmit frame. cert aliases arg.
+func DecodeAdmit(arg []byte) (peer string, cert []byte, err error) {
+	if len(arg) < 2 {
+		return "", nil, fmt.Errorf("ratls: short admit arg")
+	}
+	n := 2 + int(binary.LittleEndian.Uint16(arg))
+	if len(arg) < n {
+		return "", nil, fmt.Errorf("ratls: truncated admit peer")
+	}
+	return string(arg[2:n]), arg[n:], nil
 }
 
 // GateProgram hosts a verifier inside an enclave: each admission is one
@@ -78,15 +91,11 @@ func GateProgram(v *Verifier) *core.Program {
 		Version: "1.0",
 		Handlers: map[string]core.Handler{
 			GateService: func(env *core.Env, arg []byte) ([]byte, error) {
-				if len(arg) < 2 {
-					return nil, fmt.Errorf("ratls: short admit arg")
+				peer, cert, err := DecodeAdmit(arg)
+				if err != nil {
+					return nil, err
 				}
-				n := int(binary.LittleEndian.Uint16(arg[:2]))
-				if len(arg) < 2+n {
-					return nil, fmt.Errorf("ratls: truncated admit peer")
-				}
-				peer := string(arg[2 : 2+n])
-				id, err := v.Admit(env.Meter(), arg[2+n:], peer)
+				id, err := v.Admit(env.Meter(), cert, peer)
 				if err != nil {
 					return nil, err
 				}

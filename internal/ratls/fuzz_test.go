@@ -1,7 +1,11 @@
 package ratls
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -123,4 +127,48 @@ func FuzzRATLSCert(f *testing.F) {
 			t.Fatalf("instance re-registration admitted (err=%v)", err)
 		}
 	})
+}
+
+// FuzzAdmitFrame fuzzes the gate's admission frame, peerLen(2) ‖ peer ‖
+// cert, which both admission gates (GateProgram and the NF chain's
+// stages) decode from a host-supplied ECALL argument. Invariants:
+//
+//   - DecodeAdmit never panics;
+//   - a frame it accepts re-encodes to the same bytes, and one it
+//     rejects is shorter than its length field says;
+//   - any peer the length field holds and any certificate survive
+//     EncodeAdmit then DecodeAdmit unchanged.
+func FuzzAdmitFrame(f *testing.F) {
+	f.Add([]byte{}, "")
+	f.Add([]byte{5}, "relay")
+	f.Add(EncodeAdmit("peer-3", []byte("cert")), "peer-3")
+	f.Add([]byte{0xff, 0xff, 'a'}, "a")
+	f.Fuzz(func(t *testing.T, frame []byte, peer string) {
+		p, cert, err := DecodeAdmit(frame)
+		if err != nil {
+			if len(frame) >= 2 && len(frame) >= 2+int(binary.LittleEndian.Uint16(frame)) {
+				t.Fatalf("rejected a complete frame: %v", err)
+			}
+		} else if re := EncodeAdmit(p, cert); !bytes.Equal(re, frame) {
+			t.Fatalf("frame %x decodes to (%q, %x), which encodes to %x", frame, p, cert, re)
+		}
+		if len(peer) > math.MaxUint16 {
+			peer = peer[:math.MaxUint16]
+		}
+		p, cert, err = DecodeAdmit(EncodeAdmit(peer, frame))
+		if err != nil || p != peer || !bytes.Equal(cert, frame) {
+			t.Fatalf("round trip of (%q, %x): (%q, %x, %v)", peer, frame, p, cert, err)
+		}
+	})
+}
+
+// TestAdmitFrameLongestPeer: a peer of 65,535 bytes, the most the
+// length field holds, round-trips with its certificate.
+func TestAdmitFrameLongestPeer(t *testing.T) {
+	peer := strings.Repeat("p", math.MaxUint16)
+	cert := []byte("certificate")
+	p, c, err := DecodeAdmit(EncodeAdmit(peer, cert))
+	if err != nil || p != peer || !bytes.Equal(c, cert) {
+		t.Fatalf("got (%d-byte peer, %q, %v), want the %d-byte peer and %q", len(p), c, err, len(peer), cert)
+	}
 }

@@ -215,7 +215,7 @@ type ASLocal struct {
 	ctlHost string
 
 	// retry, when set, arms every operation with deadlines and automatic
-	// re-attestation (see SetRetryPolicy).
+	// re-attestation (see SetRetryPolicy); nil is one blocking attempt.
 	retry *attest.RetryPolicy
 
 	// inv, when set, is purged on every channel re-establishment —
@@ -234,9 +234,11 @@ type ASLocal struct {
 // SetRetryPolicy makes the AS-local controller fault-tolerant: dials and
 // attestations retry with backoff, enclave receives time out instead of
 // blocking forever, and operations that die with the channel re-attest
-// the controller and run again. Without it, behavior is the seed's:
-// block, and fail permanently on the first lost message.
+// the controller and run again. Zero fields take DefaultRetryPolicy's
+// values, resolved here once. Without it, behavior is the seed's: block,
+// and fail permanently on the first lost message.
 func (a *ASLocal) SetRetryPolicy(pol attest.RetryPolicy) {
+	pol = pol.WithDefaults()
 	a.retry = &pol
 	a.Shim.SetRecvTimeout(pol.RecvTimeout)
 }
@@ -262,26 +264,15 @@ func LaunchASLocal(host *netsim.SimHost, signer *core.Signer, policy *PolicyMsg,
 }
 
 // Connect dials the controller and remote-attests it (with DH: the
-// secure channel carries everything that follows). With a retry policy
-// set, the dial and the 9-message protocol retry under faults.
+// secure channel carries everything that follows), under the retry
+// policy: with one set, the dial and the 9-message protocol retry under
+// faults.
 func (a *ASLocal) Connect(controllerHost string) error {
 	a.ctlHost = controllerHost
-	if a.retry != nil {
-		conn, cid, _, retries, err := attest.ChallengeRetry(nil, "", a.Enclave, a.Shim, a.State.Attest,
-			func() (*netsim.Conn, error) { return a.Host.Dial(controllerHost, ControllerService) },
-			true, *a.retry)
-		a.Retries += retries
-		if err != nil {
-			return fmt.Errorf("sdnctl: AS%d attestation of controller failed: %w", a.ASN, err)
-		}
-		a.conn, a.connID = conn, cid
-		return nil
-	}
-	conn, err := a.Host.Dial(controllerHost, ControllerService)
-	if err != nil {
-		return err
-	}
-	cid, _, err := attest.Challenge(nil, "", a.Enclave, a.Shim, conn, true)
+	conn, cid, _, retries, err := attest.ChallengeRetry(nil, "", a.Enclave, a.Shim, a.State.Attest,
+		func() (*netsim.Conn, error) { return a.Host.Dial(controllerHost, ControllerService) },
+		true, a.retry)
+	a.Retries += retries
 	if err != nil {
 		return fmt.Errorf("sdnctl: AS%d attestation of controller failed: %w", a.ASN, err)
 	}
@@ -319,7 +310,7 @@ func (a *ASLocal) withReconnect(op func() error) error {
 		conn, cid, _, retries, cerr := attest.Reestablish(nil, "", a.Enclave, a.Shim, a.State.Attest,
 			a.connID, a.inv,
 			func() (*netsim.Conn, error) { return a.Host.Dial(a.ctlHost, ControllerService) },
-			true, *a.retry)
+			true, a.retry)
 		a.Retries += retries
 		if cerr != nil {
 			return fmt.Errorf("sdnctl: AS%d re-attestation of controller failed: %w", a.ASN, cerr)

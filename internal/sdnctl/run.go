@@ -76,9 +76,9 @@ func (r *RunReport) ASLocalAvg() core.Tally {
 // value is the plain deployment behind Table 4.
 type SGXConfig struct {
 	// Faults, when set, is installed before the attestation phase, so it
-	// disturbs the whole run, and every controller is armed with Retry:
-	// attestations retry with backoff, receives time out, and lost
-	// channels are re-attested.
+	// disturbs the whole run, and every controller is armed with Retry
+	// (zero fields defaulted): attestations retry with backoff, receives
+	// time out, and lost channels are re-attested.
 	Faults *netsim.FaultSchedule
 	Retry  attest.RetryPolicy
 
@@ -208,9 +208,10 @@ func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 	// protocol traffic, so the whole run — attestation included — is
 	// exposed to it.
 	if cfg.Faults != nil {
-		ctl.SetRecvTimeout(cfg.Retry.RecvTimeout)
+		pol := cfg.Retry.WithDefaults()
+		ctl.SetRecvTimeout(pol.RecvTimeout)
 		for _, asl := range d.Locals {
-			asl.SetRetryPolicy(cfg.Retry)
+			asl.SetRetryPolicy(pol)
 		}
 		d.net.SetFaults(cfg.Faults)
 	}

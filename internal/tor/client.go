@@ -54,7 +54,7 @@ type Client struct {
 	rng     *rand.Rand
 
 	// retry, when set, arms every network operation with deadlines and
-	// bounded retries (see SetRetryPolicy).
+	// bounded retries (see SetRetryPolicy); nil is one blocking attempt.
 	retry       *attest.RetryPolicy
 	recvTimeout time.Duration
 
@@ -70,9 +70,11 @@ type Client struct {
 // SetRetryPolicy makes the client fault-tolerant: directory fetches and
 // OR attestations retry with backoff, cell receives time out instead of
 // blocking forever, and failed circuit builds re-pick a path around the
-// relay they blame. Without it, behavior is the seed's: block, and fail
-// permanently on the first lost message.
+// relay they blame. Zero fields take DefaultRetryPolicy's values,
+// resolved here once. Without it, behavior is the seed's: block, and
+// fail permanently on the first lost message.
 func (c *Client) SetRetryPolicy(pol attest.RetryPolicy) {
+	pol = pol.WithDefaults()
 	c.retry = &pol
 	c.recvTimeout = pol.RecvTimeout
 	if c.shim != nil {
@@ -184,42 +186,13 @@ func (c *Client) FetchConsensus(authorityHosts []string) ([]Descriptor, error) {
 
 func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {
 	var conn *netsim.Conn
-	if c.SGX && c.retry != nil {
-		dial := func() (*netsim.Conn, error) {
-			cn, err := c.Host.Dial(authorityHost, DirService)
-			if err != nil {
-				return nil, err
-			}
-			if err := cn.Send([]byte("attest")); err != nil {
-				cn.Close()
-				return nil, err
-			}
-			return cn, nil
-		}
-		cn, _, _, retries, err := attest.ChallengeRetry(nil, "", c.enclave, c.shim, c.cstate, dial, true, *c.retry)
-		c.Retries += retries
-		c.Attestations += 1 + retries
-		if err != nil {
+	var err error
+	if c.SGX {
+		if conn, err = c.dialAttested(authorityHost, DirService); err != nil {
 			return nil, fmt.Errorf("tor: authority %s failed attestation: %w", authorityHost, err)
 		}
-		conn = cn
-	} else {
-		cn, err := c.Host.Dial(authorityHost, DirService)
-		if err != nil {
-			return nil, err
-		}
-		conn = cn
-		if c.SGX {
-			if err := conn.Send([]byte("attest")); err != nil {
-				conn.Close()
-				return nil, err
-			}
-			c.Attestations++
-			if _, _, err := attest.Challenge(nil, "", c.enclave, c.shim, conn, true); err != nil {
-				conn.Close()
-				return nil, fmt.Errorf("tor: authority %s failed attestation: %w", authorityHost, err)
-			}
-		}
+	} else if conn, err = c.Host.Dial(authorityHost, DirService); err != nil {
+		return nil, err
 	}
 	defer conn.Close()
 	if err := conn.Send([]byte("consensus")); err != nil {
@@ -232,6 +205,27 @@ func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {
 	return decodeDescriptors(raw)
 }
 
+// dialAttested dials service on host, sends the "attest" banner and
+// remote-attests the peer, all under the client's retry policy. Each
+// attempt counts in Attestations.
+func (c *Client) dialAttested(host, service string) (*netsim.Conn, error) {
+	dial := func() (*netsim.Conn, error) {
+		conn, err := c.Host.Dial(host, service)
+		if err != nil {
+			return nil, err
+		}
+		if err := conn.Send([]byte("attest")); err != nil {
+			conn.Close()
+			return nil, err
+		}
+		return conn, nil
+	}
+	conn, _, _, retries, err := attest.ChallengeRetry(nil, "", c.enclave, c.shim, c.cstate, dial, true, c.retry)
+	c.Retries += retries
+	c.Attestations += 1 + retries
+	return conn, err
+}
+
 // AttestOR remote-attests an onion router directly (fully SGX-enabled
 // setting: clients verify relays by hardware, no directory votes
 // needed).
@@ -239,39 +233,11 @@ func (c *Client) AttestOR(d Descriptor) error {
 	if !c.SGX {
 		return fmt.Errorf("tor: non-SGX client cannot attest")
 	}
-	if c.retry != nil {
-		dial := func() (*netsim.Conn, error) {
-			cn, err := c.Host.Dial(d.Host, ORService)
-			if err != nil {
-				return nil, err
-			}
-			if err := cn.Send([]byte("attest")); err != nil {
-				cn.Close()
-				return nil, err
-			}
-			return cn, nil
-		}
-		conn, _, _, retries, err := attest.ChallengeRetry(nil, "", c.enclave, c.shim, c.cstate, dial, true, *c.retry)
-		c.Retries += retries
-		c.Attestations += 1 + retries
-		if err != nil {
-			return fmt.Errorf("tor: OR %s failed attestation: %w", d.Name, err)
-		}
-		conn.Close()
-		return nil
-	}
-	conn, err := c.Host.Dial(d.Host, ORService)
+	conn, err := c.dialAttested(d.Host, ORService)
 	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.Send([]byte("attest")); err != nil {
-		return err
-	}
-	c.Attestations++
-	if _, _, err := attest.Challenge(nil, "", c.enclave, c.shim, conn, true); err != nil {
 		return fmt.Errorf("tor: OR %s failed attestation: %w", d.Name, err)
 	}
+	conn.Close()
 	return nil
 }
 
@@ -454,54 +420,38 @@ func filterDescriptors(ds []Descriptor, excluded map[string]bool) []Descriptor {
 }
 
 // BuildCircuitRetry picks a path and builds a circuit, retrying with
-// fresh random paths under the client's retry policy when relays fail.
-// Blamed relays are excluded from subsequent picks for the duration of
-// the call (blame is forgiven if it starves the pool — a wrong guess
-// must not make the build impossible). Each retry charges
-// core.CostRetryAttempt. Without a retry policy it is a single-shot
-// pick-and-build.
+// fresh random paths on the client's retry policy (attest.RetryPolicy.Do;
+// nil is one pick and one build) when relays fail. Blamed relays are
+// excluded from subsequent picks for the duration of the call (blame is
+// forgiven if it starves the pool — a wrong guess must not make the
+// build impossible). A pick the full consensus cannot satisfy is final.
+// Each retry charges core.CostRetryAttempt.
 func (c *Client) BuildCircuitRetry(consensus []Descriptor, length int, destService string) (*Circuit, error) {
-	if c.retry == nil {
-		path, err := c.PickPathFor(consensus, length, destService)
-		if err != nil {
-			return nil, err
-		}
-		return c.BuildCircuit(path)
-	}
-	pol := *c.retry
-	backoff := pol.Backoff
+	var circ *Circuit
+	var pickErr error
 	excluded := make(map[string]bool)
-	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
-		if attempt > 0 {
-			c.meter.ChargeNormal(core.CostRetryAttempt)
-			c.Retries++
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > pol.BackoffMax {
-				backoff = pol.BackoffMax
-			}
-		}
+	retries, err := c.retry.Do(c.meter, func(error) bool { return pickErr == nil }, func(int) error {
 		path, err := c.PickPathFor(filterDescriptors(consensus, excluded), length, destService)
+		if err != nil && len(excluded) > 0 {
+			clear(excluded)
+			path, err = c.PickPathFor(consensus, length, destService)
+		}
 		if err != nil {
-			if len(excluded) == 0 {
-				return nil, err // the full consensus cannot support the path
-			}
-			excluded = make(map[string]bool)
-			if path, err = c.PickPathFor(consensus, length, destService); err != nil {
-				return nil, err
-			}
+			pickErr = err // the full consensus cannot support the path
+			return err
 		}
-		circ, blamed, err := c.buildBlamed(path)
-		if err == nil {
-			return circ, nil
-		}
+		var blamed int
+		circ, blamed, err = c.buildBlamed(path)
 		if blamed >= 0 && blamed < len(path) {
 			excluded[path[blamed].Name] = true
 		}
-		lastErr = err
+		return err
+	})
+	c.Retries += retries
+	if err != nil && pickErr == nil {
+		err = fmt.Errorf("tor: circuit build failed after %d attempts: %w", retries+1, err)
 	}
-	return nil, fmt.Errorf("tor: circuit build failed after %d attempts: %w", pol.Attempts, lastErr)
+	return circ, err
 }
 
 // RebuildCircuit tears down a dead circuit and builds a replacement —

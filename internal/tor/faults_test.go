@@ -191,3 +191,34 @@ func TestQuickOnionRoundTripUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildCircuitRetryZeroPolicy: a policy that leaves every field
+// zero takes DefaultRetryPolicy's values, attempt count included, so the
+// client builds a working circuit instead of giving up after zero
+// attempts without dialing. Discovery runs before the policy is set, so
+// its attestation blocks rather than racing the default deadline while
+// a cold process generates its first DH parameters.
+func TestBuildCircuitRetryZeroPolicy(t *testing.T) {
+	tn, err := Deploy(NetworkConfig{Mode: ModeSGXDirectory, Authorities: 1, Relays: 3, Exits: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	cl, err := tn.NewClient("c0", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consensus, err := tn.Discover(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetRetryPolicy(attest.RetryPolicy{})
+	circ, err := cl.BuildCircuitRetry(consensus, 3, WebService)
+	if err != nil {
+		t.Fatalf("zero policy: %v", err)
+	}
+	defer circ.Close()
+	if out, err := circ.Get(WebHost+"|"+WebService, []byte("ping")); err != nil || string(out) != "content:ping" {
+		t.Fatalf("Get: %q, %v", out, err)
+	}
+}
