@@ -3,7 +3,6 @@ package attest
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"sgxnet/internal/core"
 	"sgxnet/internal/sgxcrypto"
@@ -17,15 +16,15 @@ type Session struct {
 	Peer    Identity
 	Secret  [32]byte
 	Channel *sgxcrypto.Channel // nil when attestation ran without DH
-	Expires time.Time          // zero = no expiry
+
+	expired bool // set by Expire, under the table's lock
 }
 
 // SessionTable tracks sessions by the connection they were established
 // on. It is embedded in both protocol states.
 type SessionTable struct {
-	mu  sync.Mutex
-	m   map[uint32]*Session
-	ttl time.Duration
+	mu sync.Mutex
+	m  map[uint32]*Session
 }
 
 // ErrNoSession is returned for connections without an attested session.
@@ -35,46 +34,28 @@ var ErrNoSession = errors.New("attest: no attested session on this connection")
 // therefore has no secure channel.
 var ErrNoChannel = errors.New("attest: session has no secure channel (attested without DH)")
 
-// ErrSessionExpired is returned when a session has outlived the table's
-// TTL; the session is evicted and the peer must re-attest. Freshness
+// ErrSessionExpired is returned on the first use of a session Expire
+// ended; the session is evicted and the peer must re-attest. Freshness
 // bounds how long a since-compromised (or since-revoked) peer can keep
 // using an old attestation.
 var ErrSessionExpired = errors.New("attest: session expired; re-attest to continue")
-
-// SetTTL bounds the lifetime of sessions established after the call;
-// zero (the default) disables expiry.
-func (t *SessionTable) SetTTL(d time.Duration) {
-	t.mu.Lock()
-	t.ttl = d
-	t.mu.Unlock()
-}
 
 func (t *SessionTable) put(connID uint32, s *Session) {
 	t.mu.Lock()
 	if t.m == nil {
 		t.m = make(map[uint32]*Session)
 	}
-	if t.ttl > 0 && s.Expires.IsZero() {
-		s.Expires = time.Now().Add(t.ttl)
-	}
 	t.m[connID] = s
 	t.mu.Unlock()
 }
 
-// expired reports whether the session has a deadline in the past.
-// Caller holds t.mu (Expires is written under it by Expire).
-func (s *Session) expired() bool {
-	return !s.Expires.IsZero() && time.Now().After(s.Expires)
-}
-
-// Expire force-ends a session's validity immediately (revocation, or a
-// test standing in for the passage of time). The entry stays until its
-// next use reports ErrSessionExpired, mirroring how real expiry is only
-// observed lazily.
+// Expire ends a session's validity (revocation, or the passage of
+// time). The entry stays until its next use reports ErrSessionExpired,
+// mirroring how real expiry is only observed lazily.
 func (t *SessionTable) Expire(connID uint32) {
 	t.mu.Lock()
 	if s, ok := t.m[connID]; ok {
-		s.Expires = time.Unix(1, 0)
+		s.expired = true
 	}
 	t.mu.Unlock()
 }
@@ -85,7 +66,7 @@ func (t *SessionTable) Session(connID uint32) (*Session, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s, ok := t.m[connID]
-	if ok && s.expired() {
+	if ok && s.expired {
 		delete(t.m, connID)
 		return nil, false
 	}
@@ -105,7 +86,7 @@ func (t *SessionTable) live(connID uint32) (*Session, error) {
 	if !ok {
 		return nil, ErrNoSession
 	}
-	if s.expired() {
+	if s.expired {
 		delete(t.m, connID)
 		return nil, ErrSessionExpired
 	}

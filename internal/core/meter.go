@@ -118,16 +118,6 @@ func (m *Meter) SnapshotAndReset() Tally {
 	return Tally{SGXU: m.sgxU.Swap(0), Normal: m.normal.Swap(0)}
 }
 
-// AddTally folds a tally into the meter (used when aggregating per-enclave
-// meters into a host meter).
-func (m *Meter) AddTally(t Tally) {
-	if m == nil {
-		return
-	}
-	m.sgxU.Add(t.SGXU)
-	m.normal.Add(t.Normal)
-}
-
 // A Tally is an immutable snapshot of a Meter.
 type Tally struct {
 	SGXU   uint64 // SGX usermode instructions

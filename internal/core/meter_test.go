@@ -24,7 +24,6 @@ func TestMeterNilSafe(t *testing.T) {
 	m.ChargeSGX(1)
 	m.ChargeNormal(1)
 	m.SnapshotAndReset()
-	m.AddTally(Tally{SGXU: 1})
 	if m.SGX() != 0 || m.Normal() != 0 || m.Cycles() != 0 {
 		t.Fatal("nil meter must read zero")
 	}
@@ -105,15 +104,6 @@ func TestTallyPropertySubAddInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMeterAddTally(t *testing.T) {
-	m := NewMeter()
-	m.AddTally(Tally{SGXU: 2, Normal: 3})
-	m.AddTally(Tally{SGXU: 5, Normal: 7})
-	if m.SGX() != 7 || m.Normal() != 10 {
-		t.Fatalf("got %v", m.Snapshot())
 	}
 }
 

@@ -3,17 +3,14 @@ package load
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Arrival processes. A schedule is a monotone sequence of arrival
 // timestamps in modeled cycles, generated from a compact seeded spec so
-// a sweep point's offered load is reproducible from its spec string
-// alone (the string appears in trace track names and the rendered
-// tables). All randomness comes from a splitmix64 stream keyed by the
-// spec's seed — never math/rand, whose sequence is not stable across
-// Go releases.
+// a sweep point's offered load is reproducible from its spec alone.
+// All randomness comes from a splitmix64 stream keyed by the spec's
+// seed — never math/rand, whose sequence is not stable across Go
+// releases.
 
 // Kind selects the arrival process.
 type Kind uint8
@@ -66,7 +63,7 @@ const (
 )
 
 // ArrivalSpec is one seeded arrival process. The zero value is not
-// valid; build one directly or with ParseArrivalSpec.
+// valid.
 type ArrivalSpec struct {
 	Kind Kind
 	Rate float64 // mean requests per Mcycle, in [MinRate, MaxRate]
@@ -78,31 +75,9 @@ type ArrivalSpec struct {
 	Duty   float64 // fraction of each period that is "on", in [MinDuty, 1]
 }
 
-// String renders the canonical spec form, e.g.
-//
-//	poisson:rate=33.5,n=600,seed=7
-//	bursty:rate=33.5,n=600,seed=7,period=2000000,duty=0.25
-//	fixed:rate=33.5,n=600
-//
-// ParseArrivalSpec(s.String()) == s for every valid spec (the fuzz
-// target holds the parser to it).
-func (s ArrivalSpec) String() string {
-	var b strings.Builder
-	b.WriteString(s.Kind.String())
-	fmt.Fprintf(&b, ":rate=%s,n=%d", strconv.FormatFloat(s.Rate, 'g', -1, 64), s.N)
-	if s.Kind != Fixed {
-		fmt.Fprintf(&b, ",seed=%d", s.Seed)
-	}
-	if s.Kind == Bursty {
-		fmt.Fprintf(&b, ",period=%d,duty=%s", s.Period, strconv.FormatFloat(s.Duty, 'g', -1, 64))
-	}
-	return b.String()
-}
-
 // Validate checks the spec against the documented bounds. Every
-// rejection is an error, never a panic — the parser feeds on untrusted
-// input (it is fuzzed), and NaN/Inf/zero/negative rates must die here,
-// not overflow a schedule later.
+// rejection is an error, never a panic: NaN/Inf/zero/negative rates
+// must die here, not overflow a schedule later.
 func (s ArrivalSpec) Validate() error {
 	if s.Kind > Fixed {
 		return fmt.Errorf("load: unknown arrival kind %d", s.Kind)
@@ -125,81 +100,6 @@ func (s ArrivalSpec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParseArrivalSpec parses the canonical "kind:k=v,..." form. Keys are
-// strict: each kind accepts exactly its canonical key set, once each —
-// a spec that survives parsing re-renders to an equivalent string.
-func ParseArrivalSpec(in string) (ArrivalSpec, error) {
-	var s ArrivalSpec
-	head, rest, ok := strings.Cut(in, ":")
-	if !ok {
-		return s, fmt.Errorf("load: spec %q: missing ':'", in)
-	}
-	switch head {
-	case "poisson":
-		s.Kind = Poisson
-	case "bursty":
-		s.Kind = Bursty
-	case "fixed":
-		s.Kind = Fixed
-	default:
-		return s, fmt.Errorf("load: unknown arrival kind %q", head)
-	}
-	allowed := map[string]bool{"rate": true, "n": true}
-	if s.Kind != Fixed {
-		allowed["seed"] = true
-	}
-	if s.Kind == Bursty {
-		allowed["period"] = true
-		allowed["duty"] = true
-	}
-	seen := make(map[string]bool)
-	for _, field := range strings.Split(rest, ",") {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return s, fmt.Errorf("load: spec field %q: missing '='", field)
-		}
-		if !allowed[k] {
-			return s, fmt.Errorf("load: key %q not allowed for kind %s", k, s.Kind)
-		}
-		if seen[k] {
-			return s, fmt.Errorf("load: duplicate key %q", k)
-		}
-		seen[k] = true
-		var err error
-		switch k {
-		case "rate":
-			s.Rate, err = strconv.ParseFloat(v, 64)
-		case "duty":
-			s.Duty, err = strconv.ParseFloat(v, 64)
-		case "n":
-			s.N, err = strconv.Atoi(v)
-		case "seed":
-			s.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "period":
-			s.Period, err = strconv.ParseUint(v, 10, 64)
-		}
-		if err != nil {
-			return s, fmt.Errorf("load: spec field %q: %v", field, err)
-		}
-	}
-	for _, k := range []string{"rate", "n"} {
-		if !seen[k] {
-			return s, fmt.Errorf("load: spec %q: missing key %q", in, k)
-		}
-	}
-	if s.Kind == Bursty {
-		for _, k := range []string{"period", "duty"} {
-			if !seen[k] {
-				return s, fmt.Errorf("load: spec %q: missing key %q", in, k)
-			}
-		}
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // splitmix is the schedule PRNG: tiny, stable forever, and trivially
@@ -271,7 +171,7 @@ func (g *Arrivals) Next() (t uint64, ok bool, err error) {
 		next = k*float64(s.Period) + (g.t - k*onLen)
 	}
 	if next > float64(MaxScheduleCycles) {
-		g.err = fmt.Errorf("load: %s: schedule exceeds %d cycles at request %d", *s, MaxScheduleCycles, g.i)
+		g.err = fmt.Errorf("load: %s schedule exceeds %d cycles at request %d", s.Kind, MaxScheduleCycles, g.i)
 		return 0, false, g.err
 	}
 	g.i++

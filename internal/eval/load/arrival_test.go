@@ -6,51 +6,27 @@ import (
 	"testing"
 )
 
-func TestArrivalSpecRoundTrip(t *testing.T) {
-	specs := []ArrivalSpec{
-		{Kind: Poisson, Rate: 33.5, N: 600, Seed: 7},
-		{Kind: Poisson, Rate: 0.125, N: 1, Seed: 0},
-		{Kind: Bursty, Rate: 2, N: 64, Seed: 9, Period: 4096, Duty: 0.25},
-		{Kind: Bursty, Rate: 1e6, N: MaxRequests, Seed: ^uint64(0), Period: MaxPeriod, Duty: 1},
-		{Kind: Fixed, Rate: 1000, N: 128},
-	}
-	for _, s := range specs {
-		got, err := ParseArrivalSpec(s.String())
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if got != s {
-			t.Errorf("round trip: %s -> %+v want %+v", s, got, s)
-		}
-	}
-}
-
+// TestArrivalSpecRejects: Validate refuses every spec outside the
+// documented bounds, with an error and before any schedule is drawn.
 func TestArrivalSpecRejects(t *testing.T) {
-	bad := []string{
-		"",
-		"poisson",                              // no fields
-		"warp:rate=1,n=4",                      // unknown kind
-		"poisson:rate=1",                       // missing n
-		"poisson:n=4,seed=1",                   // missing rate
-		"poisson:rate=1,n=4,rate=2",            // duplicate key
-		"poisson:rate=1,n=4,duty=0.5",          // key not allowed for kind
-		"fixed:rate=1,n=4,seed=9",              // fixed takes no seed
-		"poisson:rate=0,n=4",                   // zero rate
-		"poisson:rate=-3,n=4",                  // negative rate
-		"poisson:rate=1e308,n=4",               // overflow rate
-		"poisson:rate=NaN,n=4",                 // NaN
-		"poisson:rate=+Inf,n=4",                // Inf
-		"poisson:rate=1,n=-1",                  // negative n
-		"poisson:rate=1,n=999999999",           // n past MaxRequests
-		"bursty:rate=1,n=4,period=0,duty=0.5",  // zero period
-		"bursty:rate=1,n=4,period=10,duty=0",   // duty under MinDuty
-		"bursty:rate=1,n=4,period=10,duty=NaN", // NaN duty
-		"bursty:rate=1,n=4,period=10",          // missing duty
-		"poisson:rate=1,n=4,junk",              // field without '='
+	bad := map[string]ArrivalSpec{
+		"zero rate":          {Kind: Poisson, Rate: 0, N: 4},
+		"negative rate":      {Kind: Poisson, Rate: -3, N: 4},
+		"overflow rate":      {Kind: Poisson, Rate: 1e308, N: 4},
+		"NaN rate":           {Kind: Poisson, Rate: math.NaN(), N: 4},
+		"Inf rate":           {Kind: Poisson, Rate: math.Inf(1), N: 4},
+		"negative n":         {Kind: Poisson, Rate: 1, N: -1},
+		"n past MaxRequests": {Kind: Poisson, Rate: 1, N: 999999999},
+		"zero period":        {Kind: Bursty, Rate: 1, N: 4, Period: 0, Duty: 0.5},
+		"duty under MinDuty": {Kind: Bursty, Rate: 1, N: 4, Period: 10, Duty: 0},
+		"NaN duty":           {Kind: Bursty, Rate: 1, N: 4, Period: 10, Duty: math.NaN()},
 	}
-	for _, in := range bad {
-		if _, err := ParseArrivalSpec(in); err == nil {
-			t.Errorf("accepted %q", in)
+	for name, s := range bad {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, s)
+		}
+		if _, err := s.Times(); err == nil {
+			t.Errorf("%s: Times accepted %+v", name, s)
 		}
 	}
 }
@@ -64,21 +40,21 @@ func TestTimesDeterministicMonotone(t *testing.T) {
 	for _, s := range specs {
 		a, err := s.Times()
 		if err != nil {
-			t.Fatalf("%s: %v", s, err)
+			t.Fatalf("%+v: %v", s, err)
 		}
 		b, _ := s.Times()
 		if len(a) != s.N || len(b) != s.N {
-			t.Fatalf("%s: got %d/%d times, want %d", s, len(a), len(b), s.N)
+			t.Fatalf("%+v: got %d/%d times, want %d", s, len(a), len(b), s.N)
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: nondeterministic at %d: %d vs %d", s, i, a[i], b[i])
+				t.Fatalf("%+v: nondeterministic at %d: %d vs %d", s, i, a[i], b[i])
 			}
 			if i > 0 && a[i] < a[i-1] {
-				t.Fatalf("%s: non-monotone at %d: %d < %d", s, i, a[i], a[i-1])
+				t.Fatalf("%+v: non-monotone at %d: %d < %d", s, i, a[i], a[i-1])
 			}
 			if a[i] > MaxScheduleCycles {
-				t.Fatalf("%s: time %d exceeds ceiling", s, a[i])
+				t.Fatalf("%+v: time %d exceeds ceiling", s, a[i])
 			}
 		}
 	}

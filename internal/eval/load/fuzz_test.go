@@ -2,50 +2,49 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzArrivalSchedule holds the spec parser to its contract on
-// arbitrary input: parse either rejects with an error or yields a spec
-// that (a) validates, (b) round-trips through its canonical String
-// form, (c) generates a monotone, ceiling-bounded schedule — no
-// panics, no NaN-poisoned or overflowing timestamps, ever — and (d)
+// FuzzArrivalSchedule holds the arrival generator to its contract over
+// arbitrary spec fields: Validate either rejects the spec with an error
+// or the spec (a) generates a monotone, ceiling-bounded schedule — no
+// panics, no NaN-poisoned or overflowing timestamps, ever — and (b)
 // streams through Arrivals exactly the schedule Times returns.
 func FuzzArrivalSchedule(f *testing.F) {
-	seeds := []string{
-		"poisson:rate=33.5,n=600,seed=7",
-		"bursty:rate=2,n=64,seed=9,period=4096,duty=0.25",
-		"fixed:rate=1000,n=128",
-		"poisson:rate=0.001,n=16,seed=18446744073709551615",
-		"bursty:rate=1e9,n=2097152,seed=1,period=1099511627776,duty=1",
-		// Rejections the parser must produce, not panic over:
-		"poisson:rate=0,n=4,seed=1",     // zero rate
-		"poisson:rate=1e308,n=4,seed=1", // overflow rate
-		"poisson:rate=NaN,n=4,seed=1",   // NaN rate
-		"bursty:rate=1,n=4,seed=1,period=0,duty=2",
-		"fixed:rate=1,n=4,seed=9", // key not allowed
-		"poisson:rate=1,n=4,rate=2",
-		"::,=,",
-		"poisson:rate=+Inf,n=1",
+	type seed struct {
+		kind   Kind
+		rate   float64
+		n      int
+		seed   uint64
+		period uint64
+		duty   float64
+	}
+	seeds := []seed{
+		{Poisson, 33.5, 600, 7, 0, 0},
+		{Bursty, 2, 64, 9, 4096, 0.25},
+		{Fixed, 1000, 128, 0, 0, 0},
+		{Poisson, MinRate, 16, math.MaxUint64, 0, 0},
+		{Bursty, MaxRate, MaxRequests, 1, MaxPeriod, 1},
+		{Fixed, 1, 4, 9, 0, 0}, // Fixed ignores its seed
+		// Rejections Validate must produce, not panic over:
+		{Poisson, 0, 4, 1, 0, 0},           // zero rate
+		{Poisson, 1e308, 4, 1, 0, 0},       // overflow rate
+		{Poisson, math.NaN(), 4, 1, 0, 0},  // NaN rate
+		{Poisson, math.Inf(1), 1, 0, 0, 0}, // Inf rate
+		{Poisson, 1, -1, 0, 0, 0},          // negative n
+		{Bursty, 1, 4, 1, 0, 2},            // zero period, duty past 1
+		{Bursty, 1, 4, 1, 10, math.NaN()},  // NaN duty
+		{Fixed + 1, 1, 4, 0, 0, 0},         // unknown kind
 	}
 	for _, s := range seeds {
-		f.Add(s)
+		f.Add(byte(s.kind), s.rate, s.n, s.seed, s.period, s.duty)
 	}
-	f.Fuzz(func(t *testing.T, in string) {
-		s, err := ParseArrivalSpec(in)
-		if err != nil {
-			return // rejected input: the only other acceptable outcome
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("parsed spec fails Validate: %q -> %+v: %v", in, s, err)
-		}
-		rt, err := ParseArrivalSpec(s.String())
-		if err != nil {
-			t.Fatalf("canonical form does not re-parse: %q -> %q: %v", in, s.String(), err)
-		}
-		if rt != s {
-			t.Fatalf("round trip diverged: %q -> %+v -> %+v", in, s, rt)
+	f.Fuzz(func(t *testing.T, kind byte, rate float64, n int, seed, period uint64, duty float64) {
+		s := ArrivalSpec{Kind: Kind(kind), Rate: rate, N: n, Seed: seed, Period: period, Duty: duty}
+		if s.Validate() != nil {
+			return // rejected spec: the only other acceptable outcome
 		}
 		// Cap the schedule length so the fuzzer's throughput stays high;
 		// the generator's per-step math is independent of N.
@@ -56,7 +55,7 @@ func FuzzArrivalSchedule(f *testing.F) {
 		times, err := capped.Times()
 		g, gerr := capped.Arrivals()
 		if gerr != nil {
-			t.Fatalf("valid spec has no generator: %q: %v", in, gerr)
+			t.Fatalf("valid spec has no generator: %+v: %v", s, gerr)
 		}
 		for i := 0; ; i++ {
 			ts, ok, serr := g.Next()
@@ -75,7 +74,7 @@ func FuzzArrivalSchedule(f *testing.F) {
 			}
 		}
 		if err != nil {
-			t.Fatalf("valid spec failed to schedule: %q: %v", in, err)
+			t.Fatalf("valid spec failed to schedule: %+v: %v", s, err)
 		}
 		if len(times) != capped.N {
 			t.Fatalf("schedule length %d, want %d", len(times), capped.N)

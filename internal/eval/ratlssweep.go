@@ -151,7 +151,9 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 		if _, certs[i], err = mt.Mint(enc); err != nil {
 			return pt, err
 		}
-		frames[i] = ratls.EncodeAdmit(peers[i], certs[i])
+		if frames[i], err = ratls.EncodeAdmit(peers[i], certs[i]); err != nil {
+			return pt, err
+		}
 	}
 
 	v := ratls.NewVerifier(attest.Policy{

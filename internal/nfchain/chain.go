@@ -53,8 +53,6 @@ type Config struct {
 	// and batches egress through an OCALL ring + IOShim window of the
 	// same size.
 	Batch int
-	// SpinBudget is passed to the rings (0 = xcall default, 4×Batch).
-	SpinBudget int
 	// Verifier, when non-nil, gates every hop: ProcService refuses
 	// traffic until Admit has presented a certificate this verifier
 	// accepts. One verifier shared by all N hops is the point — the
@@ -126,7 +124,7 @@ func New(host *netsim.SimHost, cfg Config) (*Chain, error) {
 	}
 	var ringCfg *xcall.Config // nil: synchronous hops
 	if cfg.Batch >= 2 {
-		ringCfg = &xcall.Config{Batch: cfg.Batch, SpinBudget: cfg.SpinBudget}
+		ringCfg = &xcall.Config{Batch: cfg.Batch}
 		if cfg.Series != nil {
 			ringCfg.Series = &xcall.SeriesConfig{Probe: cfg.Series, Clock: cfg.Clock}
 		}
@@ -381,9 +379,13 @@ func drive(run func(stage int, p Packet) (Verdict, Packet, bool, error),
 // cache is empty). Must be called before Process on a gated chain.
 func (c *Chain) Admit(peer string, cert []byte) (core.Tally, error) {
 	var total core.Tally
+	frame, err := ratls.EncodeAdmit(peer, cert)
+	if err != nil {
+		return total, fmt.Errorf("nfchain: admit: %w", err)
+	}
 	for _, h := range c.hops {
 		pre := h.enc.Meter().Snapshot()
-		if _, err := h.enc.Call(AdmitService, ratls.EncodeAdmit(peer, cert)); err != nil {
+		if _, err := h.enc.Call(AdmitService, frame); err != nil {
 			return total, fmt.Errorf("nfchain: admit stage %q: %w", h.stage.Name(), err)
 		}
 		total = total.Add(h.enc.Meter().Snapshot().Sub(pre))

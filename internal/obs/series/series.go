@@ -1,5 +1,5 @@
 // Package series is the windowed time-series layer of the
-// observability stack: deterministic counter/gauge/rate samples keyed
+// observability stack: deterministic counter and gauge samples keyed
 // to the virtual cycle clock the whole repo shares (core.Meter tallies,
 // obs.Trace span timestamps, and des.Kernel virtual time all count the
 // same modeled cycles at 1 cycle = 1 ns — des.CyclesPerSecond).
@@ -43,9 +43,6 @@ const (
 	// each window keeps the latest sample, ties broken toward the
 	// larger value so merges stay order-invariant.
 	Gauge
-	// Rate is a counter that exporters and analyzers render per second
-	// of virtual time (events/sec at 1 cycle = 1 ns).
-	Rate
 )
 
 // String returns the CSV/OpenMetrics spelling.
@@ -53,8 +50,6 @@ func (k Kind) String() string {
 	switch k {
 	case Gauge:
 		return "gauge"
-	case Rate:
-		return "rate"
 	default:
 		return "counter"
 	}
@@ -67,8 +62,6 @@ func parseKind(s string) (Kind, bool) {
 		return Counter, true
 	case "gauge":
 		return Gauge, true
-	case "rate":
-		return Rate, true
 	}
 	return Counter, false
 }
@@ -92,7 +85,7 @@ func newSeries(name string, kind Kind) *Series {
 	return s
 }
 
-// observe folds one sample into window w. Counter/Rate sum; Gauge keeps
+// observe folds one sample into window w. Counters sum; Gauge keeps
 // the max-(ts, value) sample — a total order, so the reduction commutes
 // and merging workers in any order gives the same windows.
 func (s *Series) observe(w, ts, v uint64) {
@@ -329,15 +322,6 @@ func (sm *Sampler) GaugeAt(name string, t, v uint64) {
 		return
 	}
 	sm.resolve(name, Gauge).observe(sm.set.WindowOf(t), t, v)
-}
-
-// RateAt adds n occurrences at virtual time t to the rate `name` (a
-// counter rendered per-second by exporters).
-func (sm *Sampler) RateAt(name string, t, n uint64) {
-	if sm == nil || n == 0 {
-		return
-	}
-	sm.resolve(name, Rate).observe(sm.set.WindowOf(t), t, n)
 }
 
 // Set returns the underlying set (nil for a nil sampler).

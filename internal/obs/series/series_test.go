@@ -198,7 +198,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	sm.CountAt("a", 1, 1)
 	sm.GaugeAt("a", 1, 1)
-	sm.RateAt("a", 1, 1)
 	if sm.Set() != nil {
 		t.Fatal("nil sampler must report a nil set")
 	}

@@ -139,9 +139,13 @@ func FuzzRATLSCert(f *testing.F) {
 //   - any peer the length field holds and any certificate survive
 //     EncodeAdmit then DecodeAdmit unchanged.
 func FuzzAdmitFrame(f *testing.F) {
+	genuine, err := EncodeAdmit("peer-3", []byte("cert"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{}, "")
 	f.Add([]byte{5}, "relay")
-	f.Add(EncodeAdmit("peer-3", []byte("cert")), "peer-3")
+	f.Add(genuine, "peer-3")
 	f.Add([]byte{0xff, 0xff, 'a'}, "a")
 	f.Fuzz(func(t *testing.T, frame []byte, peer string) {
 		p, cert, err := DecodeAdmit(frame)
@@ -149,13 +153,17 @@ func FuzzAdmitFrame(f *testing.F) {
 			if len(frame) >= 2 && len(frame) >= 2+int(binary.LittleEndian.Uint16(frame)) {
 				t.Fatalf("rejected a complete frame: %v", err)
 			}
-		} else if re := EncodeAdmit(p, cert); !bytes.Equal(re, frame) {
-			t.Fatalf("frame %x decodes to (%q, %x), which encodes to %x", frame, p, cert, re)
+		} else if re, err := EncodeAdmit(p, cert); err != nil || !bytes.Equal(re, frame) {
+			t.Fatalf("frame %x decodes to (%q, %x), which encodes to %x, %v", frame, p, cert, re, err)
 		}
 		if len(peer) > math.MaxUint16 {
 			peer = peer[:math.MaxUint16]
 		}
-		p, cert, err = DecodeAdmit(EncodeAdmit(peer, frame))
+		re, err := EncodeAdmit(peer, frame)
+		if err != nil {
+			t.Fatalf("refused a %d-byte peer: %v", len(peer), err)
+		}
+		p, cert, err = DecodeAdmit(re)
 		if err != nil || p != peer || !bytes.Equal(cert, frame) {
 			t.Fatalf("round trip of (%q, %x): (%q, %x, %v)", peer, frame, p, cert, err)
 		}
@@ -163,12 +171,20 @@ func FuzzAdmitFrame(f *testing.F) {
 }
 
 // TestAdmitFrameLongestPeer: a peer of 65,535 bytes, the most the
-// length field holds, round-trips with its certificate.
+// length field holds, round-trips with its certificate, and one byte
+// more is refused rather than wrapped.
 func TestAdmitFrameLongestPeer(t *testing.T) {
 	peer := strings.Repeat("p", math.MaxUint16)
 	cert := []byte("certificate")
-	p, c, err := DecodeAdmit(EncodeAdmit(peer, cert))
+	frame, err := EncodeAdmit(peer, cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, c, err := DecodeAdmit(frame)
 	if err != nil || p != peer || !bytes.Equal(c, cert) {
 		t.Fatalf("got (%d-byte peer, %q, %v), want the %d-byte peer and %q", len(p), c, err, len(peer), cert)
+	}
+	if frame, err := EncodeAdmit(peer+"p", cert); err == nil {
+		t.Fatalf("encoded a %d-byte peer into a %d-byte frame", len(peer)+1, len(frame))
 	}
 }

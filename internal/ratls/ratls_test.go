@@ -8,7 +8,6 @@ import (
 	"sgxnet/internal/attest"
 	"sgxnet/internal/core"
 	"sgxnet/internal/obs"
-	"sgxnet/internal/tlslite"
 )
 
 // rig is one SGX platform with a minter and a launched subject enclave.
@@ -286,49 +285,6 @@ func TestShardedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestChannelKeys: both peers derive identical keys regardless of
-// argument order, and the derived block drives a working record codec.
-func TestChannelKeys(t *testing.T) {
-	r := newRig(t, "channel")
-	certA, _, err := r.minter.Mint(r.subject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, _ := core.NewSigner()
-	other, err := r.plat.Launch(subjectProgram(), signer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	certB, _, err := r.minter.Mint(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := core.NewMeter()
-	k1, err := ChannelKeys(m, certA.Pub, certB.Pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := ChannelKeys(m, certB.Pub, certA.Pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatalf("peers derived different channel keys")
-	}
-	client, server := tlslite.NewCodec(k1), tlslite.NewCodec(k2)
-	rec, err := client.Seal(m, tlslite.ClientToServer, 1, []byte("attested payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := server.Open(m, tlslite.ClientToServer, 1, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "attested payload" {
-		t.Fatalf("roundtrip produced %q", got)
-	}
-}
-
 // TestGateProgram: an enclave-hosted verifier admits via ECALL, paying
 // the EENTER/EEXIT crossing per connection on top of the verification.
 func TestGateProgram(t *testing.T) {
@@ -343,8 +299,12 @@ func TestGateProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame, err := EncodeAdmit("relay", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate.Meter().SnapshotAndReset()
-	out, err := gate.Call(GateService, EncodeAdmit("relay", raw))
+	out, err := gate.Call(GateService, frame)
 	if err != nil {
 		t.Fatalf("gated cold admit: %v", err)
 	}
@@ -356,7 +316,7 @@ func TestGateProgram(t *testing.T) {
 		t.Fatalf("cold gated admit used %d SGX(U), want 2 (EENTER+EEXIT)", sgx)
 	}
 	before := gate.Meter().Snapshot()
-	if _, err := gate.Call(GateService, EncodeAdmit("relay", raw)); err != nil {
+	if _, err := gate.Call(GateService, frame); err != nil {
 		t.Fatalf("gated warm admit: %v", err)
 	}
 	d := gate.Meter().Snapshot().Sub(before)

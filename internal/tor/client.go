@@ -154,34 +154,22 @@ func NewClient(host *netsim.SimHost, cfg ClientConfig) (*Client, error) {
 func (c *Client) Meter() *core.Meter { return c.meter }
 
 // FetchConsensus retrieves the consensus from every authority and keeps
-// the descriptors a majority agrees on. An SGX client remote-attests
-// each authority before trusting its answer.
+// the descriptors a majority of the reachable authorities agrees on, in
+// name order. An SGX client remote-attests each authority before
+// trusting its answer.
 func (c *Client) FetchConsensus(authorityHosts []string) ([]Descriptor, error) {
-	votes := make(map[string]int)
-	descs := make(map[string]Descriptor)
-	reached := 0
+	var views [][]Descriptor
 	for _, ah := range authorityHosts {
 		ds, err := c.fetchOne(ah)
 		if err != nil {
 			continue // dead or refused authority
 		}
-		reached++
-		for _, d := range ds {
-			votes[d.Name]++
-			descs[d.Name] = d
-		}
+		views = append(views, ds)
 	}
-	if reached == 0 {
+	if len(views) == 0 {
 		return nil, fmt.Errorf("tor: no authority reachable")
 	}
-	quorum := reached/2 + 1
-	var out []Descriptor
-	for name, n := range votes {
-		if n >= quorum {
-			out = append(out, descs[name])
-		}
-	}
-	return out, nil
+	return majority(views), nil
 }
 
 func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {

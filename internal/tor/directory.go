@@ -106,10 +106,9 @@ type AuthorityConfig struct {
 	// admitted by certificate (AdmitByCertificate) instead of the full
 	// interactive attestation. The verifier caches verdicts: N
 	// admissions of one certificate cost one verification, and the
-	// instance-ID table rejects Sybil re-registration.
+	// instance-ID table rejects Sybil re-registration. The verifier
+	// stripes its locks over 4 shards.
 	RATLS bool
-	// RATLSShards sizes the verifier's lock striping (default 4).
-	RATLSShards int
 }
 
 // authorityProgram builds the authority enclave: attestation target (for
@@ -197,14 +196,10 @@ func LaunchAuthority(host *netsim.SimHost, cfg AuthorityConfig) (*Authority, err
 		a.signer = signer
 		a.wl = append([]core.Measurement(nil), cfg.ORWhitelist...)
 		if cfg.RATLS {
-			shards := cfg.RATLSShards
-			if shards == 0 {
-				shards = 4
-			}
 			a.verifier = ratls.NewVerifier(attest.Policy{
 				AllowedEnclaves: a.wl,
 				RejectDebug:     true,
-			}, shards)
+			}, 4)
 		}
 		if err := a.launchEnclave(); err != nil {
 			return nil, err
@@ -488,23 +483,31 @@ func (a *Authority) Vote() []Descriptor {
 // Consensus computes the OR set approved by a majority of *live*
 // authorities — Tor's defense against individual authority compromise.
 func Consensus(auths []*Authority) []Descriptor {
+	var views [][]Descriptor
+	for _, a := range auths {
+		if !a.Killed() {
+			views = append(views, a.Vote())
+		}
+	}
+	if len(views) == 0 {
+		return nil
+	}
+	return majority(views)
+}
+
+// majority keeps the descriptors that more than half of views list, in
+// name order; a name listed with different descriptors keeps the one
+// seen last.
+func majority(views [][]Descriptor) []Descriptor {
 	votes := make(map[string]int)
 	desc := make(map[string]Descriptor)
-	live := 0
-	for _, a := range auths {
-		if a.Killed() {
-			continue
-		}
-		live++
-		for _, d := range a.Vote() {
+	for _, v := range views {
+		for _, d := range v {
 			votes[d.Name]++
 			desc[d.Name] = d
 		}
 	}
-	if live == 0 {
-		return nil
-	}
-	quorum := live/2 + 1
+	quorum := len(views)/2 + 1
 	var out []Descriptor
 	for name, n := range votes {
 		if n >= quorum {

@@ -72,9 +72,6 @@ type NetworkConfig struct {
 	// default — the extra certificate handlers change the OR
 	// measurement, so baselines stay byte-stable.
 	RATLS bool
-
-	// RATLSShards sizes each authority's verification cache (default 4).
-	RATLSShards int
 }
 
 // TorNet is a deployed Tor network.
@@ -146,7 +143,6 @@ func Deploy(cfg NetworkConfig) (_ *TorNet, err error) {
 				SGX:         sgxDirs,
 				ORWhitelist: []core.Measurement{orMeasure},
 				RATLS:       cfg.RATLS,
-				RATLSShards: cfg.RATLSShards,
 			})
 			if err != nil {
 				return nil, err

@@ -1,6 +1,8 @@
 package tor
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -259,6 +261,52 @@ func TestDirectorySubversionSGX(t *testing.T) {
 		if d.Name == "ghost-or" {
 			t.Fatal("poisoned consensus despite SGX directories")
 		}
+	}
+}
+
+// TestFetchConsensusInNameOrder: on an honest network a client's
+// consensus is the directory's, in name order, on every fetch, so the
+// path a seeded client picks depends on its seed alone.
+func TestFetchConsensusInNameOrder(t *testing.T) {
+	tn := deploy(t, ModeBaseline)
+	defer tn.Close()
+	want := Consensus(tn.Auths)
+	if len(want) == 0 || !sort.SliceIsSorted(want, func(i, j int) bool { return want[i].Name < want[j].Name }) {
+		t.Fatalf("directory consensus not in name order: %+v", want)
+	}
+	var paths [2][]Descriptor
+	for i, name := range []string{"client-a", "client-b"} {
+		c, err := tn.NewClient(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Descriptor
+		for j := 0; j < 10; j++ {
+			if got, err = c.FetchConsensus(tn.AuthorityHosts()); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s fetch %d: consensus %+v, want %+v", name, j, got, want)
+			}
+		}
+		if paths[i], err = c.PickPath(got, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(paths[0], paths[1]) {
+		t.Fatalf("same-seed clients picked %+v and %+v", paths[0], paths[1])
+	}
+}
+
+// TestMajority: a name stays when more than half of the views list it
+// (half is not enough), with the descriptor seen last, and the result is
+// in name order.
+func TestMajority(t *testing.T) {
+	a, b, c := Descriptor{Name: "a"}, Descriptor{Name: "b"}, Descriptor{Name: "c"}
+	b2 := Descriptor{Name: "b", Exit: true}
+	got := majority([][]Descriptor{{c, b, a}, {b, c}, {b2, c}, {a}})
+	if want := []Descriptor{b2, c}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("majority = %+v, want %+v", got, want)
 	}
 }
 

@@ -1,11 +1,42 @@
+// Package xcall implements switchless enclave calls: bounded
+// shared-memory request rings between untrusted host threads and
+// in-enclave worker loops, replacing the per-call EENTER/EEXIT pair
+// with one amortized crossing per drained batch (HotCalls-style).
+//
+// A ring models its shared memory by counting: each switchless call
+// occupies one slot, and a drain hands the worker the occupied slots.
+// The handlers run on the caller's own arguments, so no slot holds a
+// copy of them.
+//
+// Determinism: ring occupancy evolves on the call clock — every
+// submission advances the ring's state machine by exactly one step
+// under a mutex, with no wall clock and no real goroutine races in the
+// cost model (like netsim's fault schedules, which evolve on the
+// message clock). The same call sequence always produces the same
+// drains, fallbacks, and meter charges.
 package xcall
 
 import (
-	"fmt"
 	"sync"
 
 	"sgxnet/internal/core"
 )
+
+// Slot bounds. A ring holds at most MaxBatch descriptors (rings clamp
+// their configured capacity to this), a function name fits one length
+// byte, and an argument is capped well above any cell/record/report
+// this repo moves — a call that does not fit a slot falls back to a
+// synchronous crossing instead (see ring.submit).
+const (
+	MaxBatch    = 1024
+	MaxFnLen    = 255
+	MaxArgBytes = 1 << 20
+)
+
+// fits reports whether a call fits one ring slot.
+func fits(fn string, arg []byte) bool {
+	return len(fn) <= MaxFnLen && len(arg) <= MaxArgBytes
+}
 
 // Probe kinds reported through the platform's core.Probe (and so
 // through obs.Registry when one is installed). Counter identities a
@@ -86,7 +117,7 @@ func (sc *SeriesConfig) now() uint64 {
 }
 
 // WithDefaults resolves zero fields to the documented defaults and
-// clamps Capacity to the wire-format bound.
+// clamps Capacity to MaxBatch.
 func (c Config) WithDefaults() Config {
 	if c.Capacity == 0 {
 		c.Capacity = 64
@@ -159,9 +190,8 @@ type ring struct {
 	cfg Config
 
 	mu     sync.Mutex
-	frame  []byte // pending drain frame: count header ‖ encoded descriptors
-	occ    int    // descriptors in frame
-	polls  int    // worker polls since its last drain
+	occ    int // descriptors queued since the last drain
+	polls  int // worker polls since its last drain
 	parked bool
 	stats  Stats
 }
@@ -169,16 +199,15 @@ type ring struct {
 func newRing(cfg Config) ring {
 	return ring{
 		cfg:    cfg.WithDefaults(),
-		frame:  make([]byte, batchHeaderLen),
 		parked: true, // worker not launched yet; first call is the doorbell
 	}
 }
 
-// submit advances the ring by one call and returns the accounting
-// decision plus how many descriptors the worker drained as a
-// consequence (0 if none) and whether it parked afterwards.
+// submit advances the ring by one call of fn with arg and returns the
+// accounting decision plus how many descriptors the worker drained as
+// a consequence (0 if none) and whether it parked afterwards.
 // Invariant: parked ⇒ occ == 0 (the worker drains before parking).
-func (r *ring) submit(d Descriptor) (v verdict, drained int, parked bool, err error) {
+func (r *ring) submit(fn string, arg []byte) (v verdict, drained int, parked bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sc := r.cfg.Series
@@ -193,17 +222,16 @@ func (r *ring) submit(d Descriptor) (v verdict, drained int, parked bool, err er
 			sc.Probe.CountAt("xcall.fallbacks", now, 1)
 			sc.Probe.CountAt("xcall.wakes", now, 1)
 		}
-		return verdictFallbackParked, 0, false, nil
+		return verdictFallbackParked, 0, false
 	}
-	if r.occ >= r.cfg.Capacity || !fits(d) {
+	if r.occ >= r.cfg.Capacity || !fits(fn, arg) {
 		r.stats.Fallbacks++
 		r.stats.FullFallbacks++
 		if sc != nil {
 			sc.Probe.CountAt("xcall.fallbacks", sc.now(), 1)
 		}
-		return verdictFallbackFull, 0, false, nil
+		return verdictFallbackFull, 0, false
 	}
-	r.frame = AppendDescriptor(r.frame, d)
 	r.occ++
 	r.polls++
 	r.stats.Calls++
@@ -216,34 +244,26 @@ func (r *ring) submit(d Descriptor) (v verdict, drained int, parked bool, err er
 		sc.Probe.GaugeAt("xcall.occ", now, uint64(r.occ))
 	}
 	if r.occ >= r.cfg.Batch {
-		drained, err = r.drainLocked()
-		return verdictEnqueue, drained, false, err
+		return verdictEnqueue, r.drainLocked(), false
 	}
 	if r.polls > r.cfg.SpinBudget {
 		// Spin budget expired: the worker drains the stragglers and
 		// parks; the next submission pays the doorbell.
-		drained, err = r.drainLocked()
+		drained = r.drainLocked()
 		r.parked = true
 		r.stats.Parks++
 		if sc != nil {
 			sc.Probe.CountAt("xcall.parks", sc.now(), 1)
 		}
-		return verdictEnqueue, drained, true, err
+		return verdictEnqueue, drained, true
 	}
-	return verdictEnqueue, 0, false, nil
+	return verdictEnqueue, 0, false
 }
 
-// drainLocked hands the pending frame to the worker: the frame is
-// re-parsed through the checked decoder (the worker trusts nothing the
-// host wrote) and the ring resets. Returns the descriptor count.
-func (r *ring) drainLocked() (int, error) {
-	putUint32(r.frame[:batchHeaderLen], uint32(r.occ))
-	descs, err := UnmarshalBatch(r.frame)
-	if err != nil {
-		return 0, fmt.Errorf("xcall: drain rejected own frame: %w", err)
-	}
-	n := len(descs)
-	r.frame = r.frame[:batchHeaderLen]
+// drainLocked hands the queued descriptors to the worker and resets the
+// ring. Returns the descriptor count.
+func (r *ring) drainLocked() int {
+	n := r.occ
 	r.occ = 0
 	r.polls = 0
 	r.stats.Drains++
@@ -253,17 +273,17 @@ func (r *ring) drainLocked() (int, error) {
 		sc.Probe.CountAt("xcall.drains", now, 1)
 		sc.Probe.CountAt("xcall.drained", now, uint64(n))
 	}
-	return n, nil
+	return n
 }
 
 // flush drains any pending descriptors and parks the worker (end of a
 // burst: Flush at phase boundaries, or teardown). An empty flush only
 // parks — it charges nothing.
-func (r *ring) flush() (drained int, wasHot bool, err error) {
+func (r *ring) flush() (drained int, wasHot bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.occ > 0 {
-		drained, err = r.drainLocked()
+		drained = r.drainLocked()
 	}
 	if !r.parked {
 		r.parked = true
@@ -273,7 +293,7 @@ func (r *ring) flush() (drained int, wasHot bool, err error) {
 			sc.Probe.CountAt("xcall.parks", sc.now(), 1)
 		}
 	}
-	return drained, wasHot, err
+	return drained, wasHot
 }
 
 // snapshot returns the stats under the lock.
@@ -281,13 +301,6 @@ func (r *ring) snapshot() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-func putUint32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }
 
 // observe reports to a possibly-nil probe.
@@ -354,10 +367,7 @@ func NewCallRing(enc *core.Enclave, cfg Config) *CallRing {
 // case (only the *accounting* follows the ring protocol), so request/
 // response code needs no restructuring to adopt the ring.
 func (r *CallRing) Call(fn string, arg []byte) ([]byte, error) {
-	v, drained, parked, err := r.submit(Descriptor{Kind: DescCall, Fn: fn, Arg: arg})
-	if err != nil {
-		return nil, err
-	}
+	v, drained, parked := r.submit(fn, arg)
 	p := r.enc.Platform().Probe()
 	if v != verdictEnqueue {
 		// Validate-then-charge: the synchronous call runs first, and the
@@ -376,9 +386,11 @@ func (r *CallRing) Call(fn string, arg []byte) ([]byte, error) {
 
 // Flush drains pending descriptors and parks the worker. Call it at
 // phase boundaries so drained-but-unaccounted work cannot leak across
-// a measurement snapshot. An empty flush is free.
+// a measurement snapshot. An empty flush is free. A flush cannot fail;
+// the error result is always nil.
 func (r *CallRing) Flush() error {
-	return chargeFlush(&r.ring, r.enc)
+	chargeFlush(&r.ring, r.enc)
+	return nil
 }
 
 // Stats returns the ring's tally so far.
@@ -412,10 +424,7 @@ func (r *OCallRing) Switchless(string) bool { return true }
 // switchless submissions pay ring ops and amortized drains. The host
 // service always runs before OCall returns — responses stay causal.
 func (r *OCallRing) OCall(service string, arg []byte) ([]byte, error) {
-	v, drained, parked, err := r.submit(Descriptor{Kind: DescOCall, Fn: service, Arg: arg})
-	if err != nil {
-		return nil, err
-	}
+	v, drained, parked := r.submit(service, arg)
 	p := r.enc.Platform().Probe()
 	if v != verdictEnqueue {
 		// Validate-then-charge: the host service runs first; the
@@ -437,15 +446,11 @@ func (r *OCallRing) OCall(service string, arg []byte) ([]byte, error) {
 // chargeFlush performs a flush and accounts it on the enclave meter: a
 // non-empty final batch pays its amortized crossing and dequeues; an
 // empty flush only parks (free).
-func chargeFlush(r *ring, enc *core.Enclave) error {
-	drained, wasHot, err := r.flush()
-	if err != nil {
-		return err
-	}
+func chargeFlush(r *ring, enc *core.Enclave) {
+	drained, wasHot := r.flush()
 	p := enc.Platform().Probe()
 	chargeDrain(enc.Meter(), p, drained)
 	if wasHot {
 		observe(p, KindPark, 1)
 	}
-	return nil
 }

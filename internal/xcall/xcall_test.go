@@ -1,7 +1,6 @@
 package xcall
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,6 +27,9 @@ func testEnclave(t *testing.T) *core.Enclave {
 			"echo": func(env *core.Env, arg []byte) ([]byte, error) {
 				return append([]byte(nil), arg...), nil
 			},
+			"nop": func(env *core.Env, arg []byte) ([]byte, error) {
+				return nil, nil
+			},
 			// relay asks the bound host to echo arg: one Env.OCall.
 			"relay": func(env *core.Env, arg []byte) ([]byte, error) {
 				return env.OCall("host.echo", arg)
@@ -43,61 +45,6 @@ func testEnclave(t *testing.T) *core.Enclave {
 	}))
 	enc.Meter().SnapshotAndReset()
 	return enc
-}
-
-func TestDescriptorRoundTrip(t *testing.T) {
-	descs := []Descriptor{
-		{Kind: DescCall, Fn: "or.cell", Arg: []byte("payload")},
-		{Kind: DescOCall, Fn: "net.send", Arg: nil},
-		{Kind: DescCall, Fn: "", Arg: bytes.Repeat([]byte{0xAB}, 1500)},
-	}
-	frame, err := MarshalBatch(descs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalBatch(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(descs) {
-		t.Fatalf("got %d descriptors, want %d", len(got), len(descs))
-	}
-	for i := range descs {
-		if got[i].Kind != descs[i].Kind || got[i].Fn != descs[i].Fn || !bytes.Equal(got[i].Arg, descs[i].Arg) {
-			t.Fatalf("descriptor %d mismatch: %+v vs %+v", i, got[i], descs[i])
-		}
-	}
-	// Canonical: re-encoding reproduces the frame byte for byte.
-	again, err := MarshalBatch(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(frame, again) {
-		t.Fatal("re-encoded frame differs")
-	}
-}
-
-func TestDescriptorRejects(t *testing.T) {
-	genuine, err := MarshalBatch([]Descriptor{{Kind: DescCall, Fn: "f", Arg: []byte("x")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":            {},
-		"truncated header": genuine[:5],
-		"truncated arg":    genuine[:len(genuine)-1],
-		"trailing bytes":   append(append([]byte(nil), genuine...), 0),
-		"bad kind":         append([]byte{0, 0, 0, 1}, 7, 1, 'f', 0, 0, 0, 0),
-		"oversized batch":  {0xFF, 0xFF, 0xFF, 0xFF},
-	}
-	for name, b := range cases {
-		if _, err := UnmarshalBatch(b); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	if _, err := MarshalBatch(make([]Descriptor, MaxBatch+1)); err == nil {
-		t.Error("MarshalBatch accepted oversized batch")
-	}
 }
 
 func TestCallRingBatchesAndFallsBack(t *testing.T) {
@@ -216,6 +163,27 @@ func TestOversizedArgFallsBack(t *testing.T) {
 	}
 	if st := r.Stats(); st.FullFallbacks != 1 {
 		t.Fatalf("oversized arg not a slot fallback: %+v", st)
+	}
+}
+
+// TestSwitchlessCallAllocs: a switchless call queues a count, not a
+// copy of its call, so a warm call of a no-op handler allocates at most
+// the handler's Env, drains included.
+func TestSwitchlessCallAllocs(t *testing.T) {
+	enc := testEnclave(t)
+	r := NewCallRing(enc, Config{Batch: 64})
+	arg := make([]byte, 200)
+	call := func() {
+		if _, err := r.Call("nop", arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // doorbell: worker hot
+	if allocs := testing.AllocsPerRun(6400, call); allocs > 1 {
+		t.Fatalf("warm switchless call made %v allocations, want at most 1", allocs)
+	}
+	if st := r.Stats(); st.Fallbacks != 1 || st.Drains != 100 {
+		t.Fatalf("calls were not switchless: %+v", st)
 	}
 }
 
