@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sgxnet/internal/core"
+	"sgxnet/internal/wire"
 )
 
 // Fuzzers for everything the attestation protocol deserializes off the
@@ -36,16 +37,18 @@ func fuzzEvidence() MsgEvidence {
 // FuzzDecodeEvidence covers the challenger's parse of the QUOTE-bearing
 // evidence message: gob decode, signature verification, policy check.
 func FuzzDecodeEvidence(f *testing.F) {
-	if seed, err := encode(fuzzEvidence()); err == nil {
-		f.Add(seed)
-		f.Add(seed[:len(seed)/2])
-		f.Add(append(append([]byte{}, seed...), 0xde, 0xad))
+	seed, err := wire.Encode(fuzzEvidence())
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(append(append([]byte{}, seed...), 0xde, 0xad))
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0xff, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev MsgEvidence
-		if err := decode(data, &ev); err != nil {
+		if err := wire.Decode(data, &ev); err != nil {
 			return
 		}
 		m := core.NewMeter()
@@ -57,14 +60,16 @@ func FuzzDecodeEvidence(f *testing.F) {
 
 // FuzzDecodeChallenge covers the target's parse of message 1.
 func FuzzDecodeChallenge(f *testing.F) {
-	if seed, err := encode(MsgChallenge{Nonce: [32]byte{9}, WantDH: true}); err == nil {
-		f.Add(seed)
-		f.Add(seed[:3])
+	seed, err := wire.Encode(MsgChallenge{Nonce: [32]byte{9}, WantDH: true})
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(seed)
+	f.Add(seed[:3])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c MsgChallenge
-		_ = decode(data, &c)
+		_ = wire.Decode(data, &c)
 	})
 }
 
@@ -72,14 +77,16 @@ func FuzzDecodeChallenge(f *testing.F) {
 // response (message 3): gob decode plus the nested REPORT unmarshal.
 func FuzzDecodeQuoteResp(f *testing.F) {
 	rep := core.Report{MREnclave: core.Measurement{1}, Data: core.ReportDataFrom([]byte("q"))}
-	if seed, err := encode(msgQuoteResp{Quote: fuzzEvidence().Quote, ReportQ: rep.Marshal()}); err == nil {
-		f.Add(seed)
-		f.Add(seed[:len(seed)-7])
+	seed, err := wire.Encode(msgQuoteResp{Quote: fuzzEvidence().Quote, ReportQ: rep.Marshal()})
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)-7])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var qr msgQuoteResp
-		if err := decode(data, &qr); err != nil {
+		if err := wire.Decode(data, &qr); err != nil {
 			return
 		}
 		if r, ok := core.UnmarshalReport(qr.ReportQ); ok {

@@ -14,6 +14,7 @@ import (
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/obs"
 	"sgxnet/internal/sgxcrypto"
+	"sgxnet/internal/wire"
 )
 
 // Remote attestation protocol: target and challenger roles. The entry
@@ -111,7 +112,7 @@ func (st *TargetState) prepare(env *core.Env, arg []byte) ([]byte, error) {
 		return nil, err
 	}
 	var ch MsgChallenge
-	if err := decode(raw, &ch); err != nil {
+	if err := wire.Decode(raw, &ch); err != nil {
 		return nil, err
 	}
 	p.nonce, p.wantDH = ch.Nonce, ch.WantDH
@@ -161,7 +162,7 @@ func (st *TargetState) evidence(env *core.Env, arg []byte) ([]byte, error) {
 		return nil, err
 	}
 	var resp msgQuoteResp
-	if err := decode(raw, &resp); err != nil {
+	if err := wire.Decode(raw, &resp); err != nil {
 		return nil, err
 	}
 	repQ, ok := core.UnmarshalReport(resp.ReportQ)
@@ -177,7 +178,7 @@ func (st *TargetState) evidence(env *core.Env, arg []byte) ([]byte, error) {
 		ev.DHGen = p.dhParams.G.Bytes()
 		ev.TargetPub = p.dhKey.Public.Bytes()
 	}
-	enc, err := encode(ev)
+	enc, err := wire.Encode(ev)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +210,7 @@ func (st *TargetState) finish(env *core.Env, arg []byte) ([]byte, error) {
 		return nil, err
 	}
 	var conf MsgConfirm
-	if err := decode(raw, &conf); err != nil {
+	if err := wire.Decode(raw, &conf); err != nil {
 		return nil, err
 	}
 	sess := &Session{}
@@ -240,7 +241,7 @@ func (st *TargetState) finish(env *core.Env, arg []byte) ([]byte, error) {
 	}
 	st.put(cid, sess)
 
-	ack, err := encode(MsgAck{Ack: ackBody})
+	ack, err := wire.Encode(MsgAck{Ack: ackBody})
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +382,7 @@ func (st *ChallengerState) begin(env *core.Env, arg []byte) ([]byte, error) {
 	st.pending[cid] = p
 	st.pmu.Unlock()
 
-	msg, err := encode(MsgChallenge{Nonce: p.nonce, WantDH: p.wantDH})
+	msg, err := wire.Encode(MsgChallenge{Nonce: p.nonce, WantDH: p.wantDH})
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +408,7 @@ func (st *ChallengerState) finish(env *core.Env, arg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("attest: no pending challenge on conn %d", cid)
 	}
 	var ev MsgEvidence
-	if err := decode(arg[4:], &ev); err != nil {
+	if err := wire.Decode(arg[4:], &ev); err != nil {
 		return nil, err
 	}
 	if !ev.Quote.Verify(env.Meter()) {
@@ -457,7 +458,7 @@ func (st *ChallengerState) finish(env *core.Env, arg []byte) ([]byte, error) {
 	}
 	st.put(cid, sess)
 
-	enc, err := encode(conf)
+	enc, err := wire.Encode(conf)
 	if err != nil {
 		return nil, err
 	}
@@ -570,7 +571,7 @@ func challengeOnce(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.
 		return fail(err)
 	}
 	var ack MsgAck
-	if err := decode(ackRaw, &ack); err != nil {
+	if err := wire.Decode(ackRaw, &ack); err != nil {
 		return fail(err)
 	}
 	if ack.Err != "" {

@@ -28,11 +28,10 @@ package attest
 import (
 	"bytes"
 	"crypto/ed25519"
-	"encoding/gob"
-	"fmt"
 
 	"sgxnet/internal/core"
 	"sgxnet/internal/sgxcrypto"
+	"sgxnet/internal/wire"
 )
 
 // Identity is the attested identity of an enclave.
@@ -136,9 +135,7 @@ func containsMeasurement(set []core.Measurement, m core.Measurement) bool {
 	return false
 }
 
-// Wire messages. Control-plane messages use gob encoding: self-describing,
-// stdlib, and irrelevant to the instruction model (I/O costs are charged
-// by the message shim, not derived from encoding sizes).
+// Wire messages, encoded by the wire codec.
 
 // MsgChallenge is message 1: the challenger's attestation request.
 type MsgChallenge struct {
@@ -168,17 +165,6 @@ type MsgAck struct {
 	Err string
 }
 
-func encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("attest: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decode(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("attest: decode: %w", err)
-	}
-	return nil
+func init() {
+	wire.Pin(MsgChallenge{}, MsgEvidence{}, MsgConfirm{}, MsgAck{}, msgQuoteResp{})
 }

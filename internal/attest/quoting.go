@@ -8,6 +8,7 @@ import (
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/obs"
 	"sgxnet/internal/sgxcrypto"
+	"sgxnet/internal/wire"
 	"sgxnet/internal/xcall"
 )
 
@@ -81,7 +82,7 @@ func quotingProgram() *core.Program {
 				q.Sig = sgxcrypto.Sign(env.Meter(), priv, q.SignedBody())
 				// Mutual intra-attestation: report back at the requester.
 				repQ := env.EReport(core.TargetInfo{Measurement: rep.MREnclave}, rep.Data)
-				resp, err := encode(msgQuoteResp{Quote: q, ReportQ: repQ.Marshal()})
+				resp, err := wire.Encode(msgQuoteResp{Quote: q, ReportQ: repQ.Marshal()})
 				if err != nil {
 					return nil, err
 				}
@@ -142,18 +143,11 @@ type Agent struct {
 func (a *Agent) SetXcall(cfg *xcall.Config) {
 	a.xb = xcall.Attach(a.QE, cfg)
 	a.QE.BindHost(a.xb.Host(a.Shim))
-	a.Shim.SetBatched(a.xb.Batch())
 }
 
 // FlushXcall drains the agent's rings and closes the shim's send
-// window at a phase boundary. No-op when running synchronously.
-func (a *Agent) FlushXcall() error {
-	if err := a.xb.Flush(); err != nil {
-		return err
-	}
-	a.Shim.FlushBatch()
-	return nil
-}
+// window at a phase boundary.
+func (a *Agent) FlushXcall() { a.xb.Flush() }
 
 // XcallStats sums the agent's ring tallies (zero when synchronous).
 func (a *Agent) XcallStats() xcall.Stats { return a.xb.Stats() }

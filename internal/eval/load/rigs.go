@@ -99,7 +99,7 @@ func (r *TorRig) Serve(i int) (core.Tally, error) {
 // Close drains any residual ring accounting and tears the circuit and
 // the deployment down.
 func (r *TorRig) Close() {
-	_ = r.tn.FlushXcall()
+	r.tn.FlushXcall()
 	r.circ.Close()
 	r.tn.Close()
 }

@@ -198,9 +198,38 @@ func ringShimEnclave(t *testing.T, n *Network, cfg xcall.Config, count int) (enc
 		_, err := enc.Call("send", arg)
 		return err
 	}
-	shim.SetBatched(xb.Batch())
 	enc.Meter().SnapshotAndReset()
 	return enc, xb, shim, send, received
+}
+
+// TestBoundaryOwnsShimWindow: the boundary sets the window of the shim
+// it fronts to its batch target (0, unbatched, when synchronous), and
+// its Flush closes the open window.
+func TestBoundaryOwnsShimWindow(t *testing.T) {
+	enc, xb, shim, send, _ := ringShimEnclave(t, New(),
+		xcall.Config{Capacity: 16, Batch: 4, SpinBudget: 1000}, 0)
+	left := func() int {
+		shim.batchMu.Lock()
+		defer shim.batchMu.Unlock()
+		return shim.batchLeft
+	}
+	if w := shim.batchWin.Load(); w != 4 {
+		t.Fatalf("switchless boundary set window %d, want 4", w)
+	}
+	if err := send(3); err != nil {
+		t.Fatal(err)
+	}
+	if left() != 1 {
+		t.Fatalf("3 sends into a window of 4 left %d", left())
+	}
+	xb.Flush()
+	if left() != 0 {
+		t.Fatalf("Flush left %d sends in the window", left())
+	}
+	xcall.Attach(enc, nil).Host(shim)
+	if w := shim.batchWin.Load(); w != 0 {
+		t.Fatalf("synchronous boundary set window %d, want 0", w)
+	}
 }
 
 func TestBatchedRingFullFallback(t *testing.T) {
@@ -240,15 +269,12 @@ func TestBatchedModeUnderPartitionMidBatch(t *testing.T) {
 			A: []string{"src"}, B: []string{"dst"},
 			FromMessage: 4, UntilMessage: 1 << 62,
 		}))
-		enc, xb, shim, send, received := ringShimEnclave(t, n,
+		enc, xb, _, send, received := ringShimEnclave(t, n,
 			xcall.Config{Capacity: 16, Batch: 4, SpinBudget: 1000}, 0)
 		if err := send(8); err != nil {
 			t.Fatal(err)
 		}
-		if err := xb.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		shim.FlushBatch()
+		xb.Flush()
 		if got := <-received; got != 0 {
 			// The sink counts toward 0, so it reports immediately; the
 			// partition guarantees no packet is double-counted anyway.
@@ -278,15 +304,12 @@ func TestBatchedModeUnderDropMidBatch(t *testing.T) {
 		if faulty {
 			n.SetFaults(NewFaultSchedule(7).AddLink(LinkFaults{From: "src", To: "dst", DropProb: 1}))
 		}
-		enc, xb, shim, send, _ := ringShimEnclave(t, n,
+		enc, xb, _, send, _ := ringShimEnclave(t, n,
 			xcall.Config{Capacity: 16, Batch: 4, SpinBudget: 1000}, 0)
 		if err := send(9); err != nil {
 			t.Fatal(err)
 		}
-		if err := xb.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		shim.FlushBatch()
+		xb.Flush()
 		return enc.Meter().Snapshot()
 	}
 	clean, dropped := tally(false), tally(true)

@@ -152,7 +152,6 @@ func New(host *netsim.SimHost, cfg Config) (*Chain, error) {
 			}
 			h.shim = netsim.NewIOShim(host, enc.Meter())
 			h.egressID = h.shim.Adopt(conn)
-			h.shim.SetBatched(h.xb.Batch())
 			enc.BindHost(h.xb.Host(h.shim))
 		}
 		c.hops = append(c.hops, h)
@@ -412,12 +411,7 @@ func (c *Chain) stageName(i int) string { return c.cfg.Stages[i].Name() }
 // batches. Call at phase boundaries before reading meters.
 func (c *Chain) Flush() error {
 	for _, h := range c.hops {
-		if err := h.xb.Flush(); err != nil {
-			return err
-		}
-		if h.shim != nil {
-			h.shim.FlushBatch()
-		}
+		h.xb.Flush()
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"sgxnet/internal/bgp"
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
+	"sgxnet/internal/wire"
 )
 
 // ASLocalState is an AS-local controller's enclave-private state: its own
@@ -65,7 +66,7 @@ func ASLocalProgram(st *ASLocalState) *core.Program {
 // peering agreement or a link failed). arg: gob(PolicyMsg).
 func (st *ASLocalState) reconfig(env *core.Env, arg []byte) ([]byte, error) {
 	var p PolicyMsg
-	if err := DecodeMsg(arg, &p); err != nil {
+	if err := wire.Decode(arg, &p); err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
@@ -155,7 +156,7 @@ func (st *ASLocalState) fetch(env *core.Env, arg []byte) ([]byte, error) {
 // roundTrip seals a request, sends it, and opens the sealed response —
 // all inside the enclave (one msg.send and one msg.recv OCALL).
 func (st *ASLocalState) roundTrip(env *core.Env, cid uint32, req *Request) (*Response, error) {
-	raw, err := EncodeMsg(req)
+	raw, err := wire.Encode(req)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +176,7 @@ func (st *ASLocalState) roundTrip(env *core.Env, cid uint32, req *Request) (*Res
 		return nil, err
 	}
 	var resp Response
-	if err := DecodeMsg(plain, &resp); err != nil {
+	if err := wire.Decode(plain, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -189,7 +190,7 @@ func (st *ASLocalState) request(env *core.Env, arg []byte) ([]byte, error) {
 	}
 	cid := binary.LittleEndian.Uint32(arg[:4])
 	var req Request
-	if err := DecodeMsg(arg[4:], &req); err != nil {
+	if err := wire.Decode(arg[4:], &req); err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
@@ -199,7 +200,7 @@ func (st *ASLocalState) request(env *core.Env, arg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return EncodeMsg(resp)
+	return wire.Encode(resp)
 }
 
 // ASLocal bundles a launched AS-local controller with its runtime.
@@ -348,7 +349,7 @@ func (a *ASLocal) Fetch() error {
 // it — the dynamic-topology path (link failures, changed agreements).
 // The controller invalidates its computed routes until the next Compute.
 func (a *ASLocal) Reconfigure(p *PolicyMsg) error {
-	raw, err := EncodeMsg(p)
+	raw, err := wire.Encode(p)
 	if err != nil {
 		return err
 	}
@@ -360,7 +361,7 @@ func (a *ASLocal) Reconfigure(p *PolicyMsg) error {
 
 // Do issues an arbitrary request (predicate registration/verification).
 func (a *ASLocal) Do(req *Request) (*Response, error) {
-	raw, err := EncodeMsg(req)
+	raw, err := wire.Encode(req)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +375,7 @@ func (a *ASLocal) Do(req *Request) (*Response, error) {
 			return err
 		}
 		var r Response
-		if err := DecodeMsg(out, &r); err != nil {
+		if err := wire.Decode(out, &r); err != nil {
 			return err
 		}
 		resp = &r

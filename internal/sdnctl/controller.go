@@ -12,6 +12,7 @@ import (
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/topo"
+	"sgxnet/internal/wire"
 )
 
 // ControllerService is the netsim service the inter-domain controller
@@ -104,11 +105,11 @@ func (st *ControllerState) handle(env *core.Env, arg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("sdnctl: opening request: %w", err)
 	}
 	var req Request
-	if err := DecodeMsg(plain, &req); err != nil {
+	if err := wire.Decode(plain, &req); err != nil {
 		return nil, err
 	}
 	resp := st.dispatch(env.Meter(), cid, &req)
-	out, err := EncodeMsg(resp)
+	out, err := wire.Encode(resp)
 	if err != nil {
 		return nil, err
 	}

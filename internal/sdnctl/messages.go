@@ -13,13 +13,12 @@
 package sdnctl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
 	"sgxnet/internal/bgp"
 	"sgxnet/internal/topo"
+	"sgxnet/internal/wire"
 )
 
 // NeighborPolicy is one row of an AS's private policy: the neighbor, the
@@ -118,21 +117,15 @@ type Verdict struct {
 	Holds       bool
 }
 
-// EncodeMsg gob-encodes a message.
-func EncodeMsg(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("sdnctl: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeMsg gob-decodes a message.
-func DecodeMsg(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("sdnctl: decode: %w", err)
-	}
-	return nil
+// The nested types' IDs are pinned too: each pointer and slice field is
+// populated.
+func init() {
+	wire.Pin(
+		PolicyMsg{Neighbors: []NeighborPolicy{{}}},
+		RoutesMsg{Routes: []bgp.Route{{}}},
+		Request{Policy: &PolicyMsg{}, Register: &Predicate{}},
+		Response{Routes: &RoutesMsg{}, Verdict: &Verdict{}},
+	)
 }
 
 // BuildTopology assembles the global topology from uploaded policies,

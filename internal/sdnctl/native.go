@@ -6,6 +6,7 @@ import (
 
 	"sgxnet/internal/bgp"
 	"sgxnet/internal/netsim"
+	"sgxnet/internal/wire"
 )
 
 // Native (non-SGX) deployment: the same controller protocol over plain
@@ -51,12 +52,12 @@ func (c *NativeController) serveConn(conn *netsim.Conn) {
 			return
 		}
 		var req Request
-		if err := DecodeMsg(raw, &req); err != nil {
+		if err := wire.Decode(raw, &req); err != nil {
 			conn.Close()
 			return
 		}
 		resp := c.State.dispatch(m, cid, &req)
-		out, err := EncodeMsg(resp)
+		out, err := wire.Encode(resp)
 		if err != nil {
 			conn.Close()
 			return
@@ -104,7 +105,7 @@ func (a *NativeASLocal) Connect(controllerHost string) error {
 }
 
 func (a *NativeASLocal) roundTrip(req *Request) (*Response, error) {
-	raw, err := EncodeMsg(req)
+	raw, err := wire.Encode(req)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +114,7 @@ func (a *NativeASLocal) roundTrip(req *Request) (*Response, error) {
 		return nil, err
 	}
 	var resp Response
-	if err := DecodeMsg(out, &resp); err != nil {
+	if err := wire.Decode(out, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -238,9 +238,7 @@ func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 	}
 	// The attestation phase is the quoting enclave's whole workload:
 	// drain its rings at the boundary and capture its serving tally.
-	if err := agent.FlushXcall(); err != nil {
-		return nil, err
-	}
+	agent.FlushXcall()
 	d.quoteServing = agent.QE.Meter().Snapshot()
 	d.quoteXcall = agent.XcallStats()
 	return d, nil

@@ -1,13 +1,12 @@
 package smpc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/sgxcrypto"
+	"sgxnet/internal/wire"
 )
 
 // Two-party GMW evaluation (semi-honest model, as in the SMPC routing
@@ -40,12 +39,16 @@ type gmwOutputs struct {
 	Shares []bool
 }
 
+func init() {
+	wire.Pin(gmwInputShares{}, gmwAND{}, gmwANDPKs{}, gmwANDEnc{}, gmwOutputs{})
+}
+
 func sendGob(conn *netsim.Conn, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	raw, err := wire.Encode(v)
+	if err != nil {
 		return err
 	}
-	return conn.Send(buf.Bytes())
+	return conn.Send(raw)
 }
 
 func recvGob(conn *netsim.Conn, v any) error {
@@ -53,7 +56,7 @@ func recvGob(conn *netsim.Conn, v any) error {
 	if err != nil {
 		return err
 	}
-	return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
+	return wire.Decode(raw, v)
 }
 
 // Engine evaluates circuits as one of the two parties.

@@ -71,7 +71,7 @@ func (e *RecordEngine) Open(dir Direction, seq uint64, raw []byte) ([]byte, erro
 
 // Flush drains the engine's ring at a phase boundary (no-op when
 // running synchronously).
-func (e *RecordEngine) Flush() error { return e.xb.Flush() }
+func (e *RecordEngine) Flush() { e.xb.Flush() }
 
 // XcallStats returns the ring tally (zero when running synchronously).
 func (e *RecordEngine) XcallStats() xcall.Stats { return e.xb.Stats() }

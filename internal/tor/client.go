@@ -1,8 +1,6 @@
 package tor
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/big"
@@ -14,22 +12,6 @@ import (
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/sgxcrypto"
 )
-
-// EncodeAny and DecodeAny are the package's control-plane codec.
-func EncodeAny(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("tor: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func DecodeAny(b []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-		return fmt.Errorf("tor: decode: %w", err)
-	}
-	return nil
-}
 
 // Client is a Tor client: it learns the OR membership (from directory
 // authorities, or from the DHT in the fully SGX-enabled setting), builds

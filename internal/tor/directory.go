@@ -11,6 +11,7 @@ import (
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/obs"
 	"sgxnet/internal/ratls"
+	"sgxnet/internal/wire"
 )
 
 // Directory authorities (§3.2). Tor runs a small set of authorities that
@@ -38,9 +39,10 @@ type Authority struct {
 	SGX  bool
 
 	mu        sync.Mutex
-	approved  map[string]Descriptor // non-SGX view (attacker-reachable)
-	killed    bool                  // DoS'd (all an attacker can do to an SGX authority)
-	subverted bool                  // behavior-altered (possible only without SGX)
+	killed    bool // DoS'd (all an attacker can do to an SGX authority)
+	subverted bool // behavior-altered (possible only without SGX)
+
+	hostView *dirView // non-SGX view (attacker-reachable)
 
 	enclave *core.Enclave
 	view    *dirView // enclave-held view (SGX)
@@ -75,7 +77,8 @@ func (a *Authority) SetTrace(tr *obs.Trace, track string) {
 	a.mu.Unlock()
 }
 
-// dirView is the enclave-private relay list.
+// dirView is an authority's relay list: enclave-private on an SGX
+// authority, host memory on any other.
 type dirView struct {
 	mu       sync.Mutex
 	approved map[string]Descriptor
@@ -83,6 +86,21 @@ type dirView struct {
 
 func newDirView() *dirView { return &dirView{approved: make(map[string]Descriptor)} }
 
+func (v *dirView) admit(ds ...Descriptor) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, d := range ds {
+		v.approved[d.Name] = d
+	}
+}
+
+func (v *dirView) drop(name string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	delete(v.approved, name)
+}
+
+// list returns the relays in name order.
 func (v *dirView) list() []Descriptor {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -122,27 +140,23 @@ func authorityProgram(tst *attest.TargetState, cst *attest.ChallengerState, view
 		Handlers: map[string]core.Handler{
 			"dir.admit": func(env *core.Env, arg []byte) ([]byte, error) {
 				var d Descriptor
-				if err := DecodeAny(arg, &d); err != nil {
+				if err := wire.Decode(arg, &d); err != nil {
 					return nil, err
 				}
-				view.mu.Lock()
-				view.approved[d.Name] = d
-				view.mu.Unlock()
+				view.admit(d)
 				return nil, nil
 			},
 			"dir.drop": func(env *core.Env, arg []byte) ([]byte, error) {
-				view.mu.Lock()
-				delete(view.approved, string(arg))
-				view.mu.Unlock()
+				view.drop(string(arg))
 				return nil, nil
 			},
 			"dir.vote": func(env *core.Env, arg []byte) ([]byte, error) {
-				return encodeDescriptors(view.list())
+				return wire.Encode(view.list())
 			},
 			// dir.seal / dir.restore persist the relay list across
 			// restarts: the untrusted host stores only a sealed blob.
 			"dir.seal": func(env *core.Env, arg []byte) ([]byte, error) {
-				raw, err := EncodeAny(view.list())
+				raw, err := wire.Encode(view.list())
 				if err != nil {
 					return nil, err
 				}
@@ -157,11 +171,7 @@ func authorityProgram(tst *attest.TargetState, cst *attest.ChallengerState, view
 				if err != nil {
 					return nil, err
 				}
-				view.mu.Lock()
-				for _, d := range ds {
-					view.approved[d.Name] = d
-				}
-				view.mu.Unlock()
+				view.admit(ds...)
 				return nil, nil
 			},
 		},
@@ -182,7 +192,7 @@ func LaunchAuthority(host *netsim.SimHost, cfg AuthorityConfig) (*Authority, err
 		Name:     cfg.Name,
 		Host:     host,
 		SGX:      cfg.SGX,
-		approved: make(map[string]Descriptor),
+		hostView: newDirView(),
 	}
 	if cfg.SGX {
 		signer := cfg.Signer
@@ -249,7 +259,7 @@ func (a *Authority) serveConn(conn *netsim.Conn) {
 		return
 	}
 	view := a.Vote()
-	out, err := encodeDescriptors(view)
+	out, err := wire.Encode(view)
 	if err != nil {
 		return
 	}
@@ -320,14 +330,12 @@ func (a *Authority) Restart(sealed []byte) error {
 // relies on trust on non-trustworthy volunteers").
 func (a *Authority) AdmitManually(d Descriptor) {
 	if a.SGX && !a.Killed() {
-		if raw, err := EncodeAny(d); err == nil {
+		if raw, err := wire.Encode(d); err == nil {
 			a.enclave.Call("dir.admit", raw)
 		}
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.approved[d.Name] = d
+	a.hostView.admit(d)
 }
 
 // AdmitByAttestation attests the OR's enclave and approves it only if
@@ -357,7 +365,7 @@ func (a *Authority) AdmitByAttestation(d Descriptor) error {
 	if _, _, err := attest.Challenge(tr, track, a.enclave, a.shim, conn, true); err != nil {
 		return fmt.Errorf("tor: OR %s failed attestation: %w", d.Name, err)
 	}
-	raw, err := EncodeAny(d)
+	raw, err := wire.Encode(d)
 	if err != nil {
 		return err
 	}
@@ -389,7 +397,7 @@ func (a *Authority) AdmitByCertificate(d Descriptor, cert []byte) error {
 	if _, err := a.verifier.Admit(a.enclave.Meter(), cert, d.Name); err != nil {
 		return fmt.Errorf("tor: OR %s failed certificate admission: %w", d.Name, err)
 	}
-	raw, err := EncodeAny(d)
+	raw, err := wire.Encode(d)
 	if err != nil {
 		return err
 	}
@@ -415,9 +423,7 @@ func (a *Authority) Drop(name string) {
 		a.enclave.Call("dir.drop", []byte(name))
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.approved, name)
+	a.hostView.drop(name)
 }
 
 // Subvert models a host compromise. A non-SGX authority's behavior is
@@ -450,7 +456,7 @@ func (a *Authority) InjectMaliciousVote(d Descriptor) error {
 	if !a.subverted {
 		return fmt.Errorf("tor: authority %s is not attacker-controlled", a.Name)
 	}
-	a.approved[d.Name] = d
+	a.hostView.admit(d)
 	return nil
 }
 
@@ -470,14 +476,7 @@ func (a *Authority) Vote() []Descriptor {
 		}
 		return ds
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Descriptor, 0, len(a.approved))
-	for _, d := range a.approved {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return a.hostView.list()
 }
 
 // Consensus computes the OR set approved by a majority of *live*
@@ -518,14 +517,10 @@ func majority(views [][]Descriptor) []Descriptor {
 	return out
 }
 
-// encodeDescriptors / decodeDescriptors serialize a consensus document.
-func encodeDescriptors(ds []Descriptor) ([]byte, error) {
-	return EncodeAny(ds)
-}
-
+// decodeDescriptors reads a relay list.
 func decodeDescriptors(b []byte) ([]Descriptor, error) {
 	var ds []Descriptor
-	if err := DecodeAny(b, &ds); err != nil {
+	if err := wire.Decode(b, &ds); err != nil {
 		return nil, err
 	}
 	return ds, nil

@@ -12,6 +12,7 @@ import (
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/ratls"
 	"sgxnet/internal/sgxcrypto"
+	"sgxnet/internal/wire"
 	"sgxnet/internal/xcall"
 )
 
@@ -389,6 +390,8 @@ type Descriptor struct {
 	Policy ExitPolicy
 }
 
+func init() { wire.Pin(Descriptor{}, []Descriptor{{}}) }
+
 // Descriptor returns the OR's directory descriptor.
 func (o *OR) Descriptor() Descriptor {
 	return Descriptor{Name: o.Name, Host: o.Host.Name(), Exit: o.Exit, SGX: o.SGX,
@@ -579,7 +582,6 @@ func (o *OR) launchEnclave(cfg ORConfig) error {
 	o.shim = netsim.NewIOShim(o.Host, enc.Meter())
 	o.attestShim = netsim.NewMsgShim(o.Host, enc.Meter())
 	o.xb = xcall.Attach(enc, cfg.Xcall)
-	o.shim.SetBatched(o.xb.Batch())
 	var mh netsim.MultiHost
 	mh.Mount("net.", o.xb.Host(o.shim))
 	mh.Mount("msg.", o.attestShim)
@@ -598,15 +600,10 @@ func (o *OR) launchEnclave(cfg ORConfig) error {
 // FlushXcall drains the OR's rings and closes the shim's send window
 // at a phase boundary (measurement snapshot, teardown). No-op for
 // native ORs, and free for synchronous ones.
-func (o *OR) FlushXcall() error {
-	if o.enclave == nil {
-		return nil
+func (o *OR) FlushXcall() {
+	if o.enclave != nil {
+		o.xb.Flush()
 	}
-	if err := o.xb.Flush(); err != nil {
-		return err
-	}
-	o.shim.FlushBatch()
-	return nil
 }
 
 // XcallStats sums the OR's ring tallies (zero when synchronous or

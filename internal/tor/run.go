@@ -8,6 +8,7 @@ import (
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/ratls"
+	"sgxnet/internal/wire"
 	"sgxnet/internal/xcall"
 )
 
@@ -250,7 +251,7 @@ func (tn *TorNet) AddOR(cfg ORConfig) (*OR, error) {
 		if err != nil {
 			return o, err
 		}
-		desc, err := EncodeAny(o.Descriptor())
+		desc, err := wire.Encode(o.Descriptor())
 		if err != nil {
 			return o, err
 		}
@@ -263,13 +264,10 @@ func (tn *TorNet) AddOR(cfg ORConfig) (*OR, error) {
 
 // FlushXcall drains every OR's rings at a phase boundary (no-op for
 // synchronous deployments).
-func (tn *TorNet) FlushXcall() error {
+func (tn *TorNet) FlushXcall() {
 	for _, o := range tn.ORs {
-		if err := o.FlushXcall(); err != nil {
-			return err
-		}
+		o.FlushXcall()
 	}
-	return nil
 }
 
 // XcallStats sums ring tallies across all ORs (zero when synchronous).
@@ -356,7 +354,7 @@ func (tn *TorNet) Discover(c *Client) ([]Descriptor, error) {
 		raw, _, err := node.Get("or:" + node.Name())
 		if err == nil {
 			var d Descriptor
-			if DecodeAny(raw, &d) == nil {
+			if wire.Decode(raw, &d) == nil {
 				if err := c.AttestOR(d); err == nil {
 					out = append(out, d)
 				}

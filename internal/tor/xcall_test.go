@@ -50,9 +50,7 @@ func xcallFetch(t *testing.T, xc *xcall.Config, gets int) (uint64, xcall.Stats) 
 			t.Fatalf("get %d: %q", i, resp)
 		}
 	}
-	if err := tn.FlushXcall(); err != nil {
-		t.Fatal(err)
-	}
+	tn.FlushXcall()
 	return tn.RelaySGX(), tn.XcallStats()
 }
 

@@ -13,15 +13,25 @@ import (
 //
 // Built from a nil *Config the boundary is synchronous: Call is
 // Enclave.Call, Host returns its argument (so Env.OCall pays each
-// crossing), Batch is 0, and Flush and Stats are empty. Otherwise Call
-// rides a CallRing, every host Host wraps rides its own OCallRing, and
-// all of them are sized by the config.
+// crossing), Batch is 0, and Stats is empty. Otherwise Call rides a
+// CallRing, every host Host wraps rides its own OCallRing, and all of
+// them are sized by the config. Either way the boundary owns the send
+// window of every host Host is given that has one (a batched
+// netsim.IOShim): Host sets it to Batch and Flush closes it.
 type Boundary struct {
 	enc  *core.Enclave
 	call *CallRing // nil when synchronous
 
-	mu    sync.Mutex
-	rings []*ring // call ring first, then each OCALL ring in Host order
+	mu      sync.Mutex
+	rings   []*ring    // call ring first, then each OCALL ring in Host order
+	windows []windowed // in Host order
+}
+
+// windowed is a host that batches its sends in windows; a window of 1
+// or less leaves it unbatched.
+type windowed interface {
+	SetBatched(window int)
+	FlushBatch()
 }
 
 // Attach builds enc's boundary from cfg; nil means synchronous.
@@ -44,8 +54,14 @@ func (b *Boundary) Call(fn string, arg []byte) ([]byte, error) {
 
 // Host returns what to bind (or mount) in front of the untrusted host
 // h: h itself on a synchronous boundary, a new OCallRing over h on a
-// switchless one.
+// switchless one. If h has a send window, Host sets it to Batch.
 func (b *Boundary) Host(h core.Host) core.Host {
+	if w, ok := h.(windowed); ok {
+		w.SetBatched(b.Batch())
+		b.mu.Lock()
+		b.windows = append(b.windows, w)
+		b.mu.Unlock()
+	}
 	if b.call == nil {
 		return h
 	}
@@ -56,9 +72,8 @@ func (b *Boundary) Host(h core.Host) core.Host {
 	return r
 }
 
-// Batch is the ring drain target, which a batched I/O shim's send
-// window matches: 0 on a synchronous boundary, so
-// IOShim.SetBatched(b.Batch()) leaves the shim unbatched.
+// Batch is the ring drain target, which Host gives a host's send
+// window: 0 on a synchronous boundary, which leaves it unbatched.
 func (b *Boundary) Batch() int {
 	if b.call == nil {
 		return 0
@@ -66,16 +81,19 @@ func (b *Boundary) Batch() int {
 	return b.call.cfg.Batch
 }
 
-// Flush drains every ring at a phase boundary (see CallRing.Flush). Its
-// error result is always nil.
-func (b *Boundary) Flush() error {
+// Flush drains every ring at a phase boundary (see CallRing.Flush),
+// then closes the send window of every host Host was given, so the
+// next send pays a window's fixed cost again.
+func (b *Boundary) Flush() {
 	b.mu.Lock()
-	rings := b.rings
+	rings, windows := b.rings, b.windows
 	b.mu.Unlock()
 	for _, r := range rings {
 		chargeFlush(r, b.enc)
 	}
-	return nil
+	for _, w := range windows {
+		w.FlushBatch()
+	}
 }
 
 // Stats sums the rings' tallies.

@@ -54,9 +54,7 @@ func TestSyncBoundaryChargesLikeEnclave(t *testing.T) {
 	b.BindHost(echoHost)
 	relayN(t, xb.Call, 5)
 	relayN(t, b.Call, 5)
-	if err := xb.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	xb.Flush()
 	sameCharges(t, a, b, pa, pb)
 	if got := a.Meter().Snapshot().SGXU; got != 5*4 {
 		t.Fatalf("5 relays charged %d SGX(U), want 20 (EENTER, EEXIT, EEXIT, ERESUME each)", got)
@@ -82,9 +80,7 @@ func TestSwitchlessBoundaryChargesLikeRings(t *testing.T) {
 	b.BindHost(or)
 	relayN(t, xb.Call, 11)
 	relayN(t, cr.Call, 11)
-	if err := xb.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	xb.Flush()
 	if err := cr.Flush(); err != nil {
 		t.Fatal(err)
 	}
