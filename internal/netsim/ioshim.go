@@ -167,8 +167,9 @@ func (s *IOShim) lookup(arg []byte) (*Conn, []byte, error) {
 }
 
 // SetBatched enables (window > 1) or disables (window <= 1) batched
-// accounting for outgoing packets; see the batchWin field. Flushing an
-// open window is the caller's job at phase boundaries (FlushBatch).
+// accounting for outgoing packets; see the batchWin field. An
+// xcall.Boundary sets the window of each shim it fronts to its batch
+// target, and closes it at phase boundaries (FlushBatch).
 func (s *IOShim) SetBatched(window int) {
 	if window <= 1 {
 		window = 0

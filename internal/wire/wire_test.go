@@ -82,11 +82,3 @@ func TestEncodeAcceptsPointerAndSlice(t *testing.T) {
 		t.Fatalf("slice round trip: %+v, %v", out, err)
 	}
 }
-
-func TestDecodeErrorNamesTarget(t *testing.T) {
-	var out pinnedMsg
-	err := Decode([]byte{0x03, 0xff, 0x81}, &out)
-	if err == nil || !strings.Contains(err.Error(), "*wire.pinnedMsg") {
-		t.Fatalf("Decode of garbage: %v", err)
-	}
-}
