@@ -117,8 +117,6 @@ type Verdict struct {
 	Holds       bool
 }
 
-// The nested types' IDs are pinned too: each pointer and slice field is
-// populated.
 func init() {
 	wire.Pin(
 		PolicyMsg{Neighbors: []NeighborPolicy{{}}},

@@ -239,6 +239,16 @@ func TestDirectorySubversionBaseline(t *testing.T) {
 	if !found {
 		t.Fatal("majority-subverted baseline directories failed to poison the consensus")
 	}
+	// Dropping the relay from the subverted authorities' host-side
+	// lists takes it out of the consensus again.
+	for _, a := range tn.Auths[:2] {
+		a.Drop(evil.Name)
+	}
+	for _, d := range Consensus(tn.Auths) {
+		if d.Name == evil.Name {
+			t.Fatal("dropped relay still in the consensus")
+		}
+	}
 }
 
 // TestDirectorySubversionSGX: subverting SGX authorities degrades to

@@ -32,10 +32,10 @@ import (
 var pinned sync.Map // reflect.Type → struct{}
 
 // Pin assigns gob type IDs to the types of vs, in order, by encoding
-// each value once, and admits those types to Encode. Call it once per
-// package, from init. Populate a value's pointer, slice and map fields
-// when the types they hold must be assigned IDs here too. Pin panics if
-// a value cannot be encoded: that is a bug in the calling package.
+// each value once, and admits those types to Encode. A type's fields
+// get their IDs with it, whether or not the value fills them. Call Pin
+// once per package, from init. It panics if a value cannot be encoded:
+// that is a bug in the calling package.
 func Pin(vs ...any) {
 	enc := gob.NewEncoder(io.Discard)
 	for _, v := range vs {

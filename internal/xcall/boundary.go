@@ -82,8 +82,8 @@ func (b *Boundary) Batch() int {
 }
 
 // Flush drains every ring at a phase boundary (see CallRing.Flush),
-// then closes the send window of every host Host was given, so the
-// next send pays a window's fixed cost again.
+// then closes the send windows Host set, so the next send pays a
+// window's fixed cost again.
 func (b *Boundary) Flush() {
 	b.mu.Lock()
 	rings, windows := b.rings, b.windows
