@@ -83,6 +83,17 @@ func newFixture(t *testing.T, policy Policy) *fixture {
 	return f
 }
 
+// respond answers one attestation on c as the fixture's target. When
+// Respond fails it closes c, so a challenger blocked in a receive gets an
+// error and the test fails instead of hanging until go test's timeout.
+func (f *fixture) respond(c *netsim.Conn) (uint32, error) {
+	tid, err := Respond(nil, "", f.target, f.tShim, f.hostT, c)
+	if err != nil {
+		c.Close()
+	}
+	return tid, err
+}
+
 // run performs one attestation and returns (challenger connID, target
 // connID, challenger error, target error).
 func (f *fixture) run(t *testing.T, wantDH bool) (uint32, uint32, error, error) {
@@ -106,7 +117,7 @@ func (f *fixture) run(t *testing.T, wantDH bool) (uint32, uint32, error, error) 
 		if targetErr != nil {
 			return
 		}
-		tid, targetErr = Respond(nil, "", f.target, f.tShim, f.hostT, serverConn)
+		tid, targetErr = f.respond(serverConn)
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {
@@ -457,7 +468,7 @@ func TestEvidenceTamperingRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Respond(nil, "", f.target, f.tShim, f.hostT, sc) // will fail when the client aborts
+		f.respond(sc) // will fail when the client aborts
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {
@@ -501,7 +512,7 @@ func TestReplayedEvidenceRejected(t *testing.T) {
 			if err != nil {
 				return
 			}
-			Respond(nil, "", f.target, f.tShim, f.hostT, sc)
+			f.respond(sc)
 		}()
 		conn, err := f.hostC.Dial("target-host", "app")
 		if err != nil {
@@ -533,7 +544,7 @@ func TestReplayedEvidenceRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Respond(nil, "", f.target, f.tShim, f.hostT, sc)
+		f.respond(sc)
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {

@@ -407,7 +407,7 @@ func TestChallengeRetryNilPolicyIsChallenge(t *testing.T) {
 		go func() {
 			c, err := l.Accept()
 			if err == nil {
-				_, err = Respond(nil, "", f.target, f.tShim, f.hostT, c)
+				_, err = f.respond(c)
 			}
 			served <- err
 		}()

@@ -132,9 +132,6 @@ func Unmarshal(raw []byte) (*Certificate, error) {
 	return c, nil
 }
 
-// Digest is the cache key for a serialized certificate.
-func Digest(raw []byte) [32]byte { return sha256.Sum256(raw) }
-
 // HandlerReport is the ECALL AddSubjectHandlers installs: it derives the
 // enclave's channel key and instance ID and EREPORTs them at the minter.
 const HandlerReport = "ratls.report"

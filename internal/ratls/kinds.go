@@ -7,7 +7,7 @@ const (
 	// KindVerifyCold is a full certificate verification: parse, proof of
 	// possession, quote signature, policy, and instance registration.
 	KindVerifyCold = "ratls.verify.cold"
-	// KindVerifyWarm is a cache hit: the certificate digest matched a
+	// KindVerifyWarm is a cache hit: the certificate's bytes matched a
 	// verdict recorded under the current policy epoch.
 	KindVerifyWarm = "ratls.verify.warm"
 	// KindReject is an admission refused — malformed certificate, bad

@@ -1,6 +1,7 @@
 package ratls
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"sync"
 	"testing"
@@ -201,7 +202,7 @@ func TestSybilReRegistrationRejected(t *testing.T) {
 		t.Fatalf("warm Sybil re-registration admitted (err=%v)", err)
 	}
 	// Cold path: evict the verdict, then re-present under a third name.
-	v.Invalidate(Digest(raw))
+	v.Invalidate(raw)
 	if _, err := v.Admit(core.NewMeter(), raw, "relay-c"); !errors.Is(err, ErrRejected) {
 		t.Fatalf("cold Sybil re-registration admitted (err=%v)", err)
 	}
@@ -282,6 +283,50 @@ func TestShardedCacheConcurrent(t *testing.T) {
 	}
 	if want := st.Cold*coldCost() + st.Warm*core.CostQuoteCacheLookup; m.Normal() != want {
 		t.Fatalf("meter %d, want %d (cold=%d warm=%d)", m.Normal(), want, st.Cold, st.Warm)
+	}
+}
+
+// TestCacheKeyedByCertificateBytes: a verdict is cached under a copy
+// of the certificate's bytes, so a caller reusing its buffer cannot
+// change a cached key; Invalidate takes the same bytes; and input too
+// short to hold a signature, empty included, takes shard 0 and is
+// refused without a charge or a panic.
+func TestCacheKeyedByCertificateBytes(t *testing.T) {
+	r := newRig(t, "bytes-key")
+	_, raw, err := r.minter.Mint(r.subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVerifier(r.whitelist(), 4)
+	buf := append([]byte(nil), raw...)
+	if _, err := v.Admit(core.NewMeter(), buf, "relay"); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf)
+	m := core.NewMeter()
+	if _, err := v.Admit(m, raw, "relay"); err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(); st.Cold != 1 || st.Warm != 1 || m.Normal() != core.CostQuoteCacheLookup {
+		t.Fatalf("stats %+v, charge %d: want one cold and one warm admission at %d",
+			st, m.Normal(), core.CostQuoteCacheLookup)
+	}
+	v.Invalidate(raw)
+	if st := v.Stats(); st.Entries != 0 {
+		t.Fatalf("Invalidate left %d entries", st.Entries)
+	}
+	for _, short := range [][]byte{nil, {}, raw[:1], raw[:ed25519.SignatureSize-1]} {
+		if v.shardOf(short) != &v.shards[0] {
+			t.Errorf("a %d-byte input does not take shard 0", len(short))
+		}
+		m := core.NewMeter()
+		if _, err := v.Admit(m, short, "relay"); !errors.Is(err, ErrRejected) {
+			t.Errorf("a %d-byte input admitted (err=%v)", len(short), err)
+		}
+		if m.Normal() != 0 {
+			t.Errorf("a %d-byte input charged %d", len(short), m.Normal())
+		}
+		v.Invalidate(short)
 	}
 }
 

@@ -21,10 +21,11 @@ type entry struct {
 	inst  [16]byte
 }
 
-// shard is one lock-striped slice of the cache.
+// shard is one lock-striped slice of the cache, keyed by the
+// certificate's bytes.
 type shard struct {
 	mu sync.Mutex
-	m  map[[32]byte]entry
+	m  map[string]entry
 }
 
 // Stats is a point-in-time snapshot of verifier activity.
@@ -45,11 +46,12 @@ func (s Stats) HitRate() float64 {
 }
 
 // Verifier admits peers by RA-TLS certificate: full verification on
-// first sight, a sharded digest cache afterwards. Revocation works by
-// policy epoch — SetPolicy bumps the epoch, so every cached verdict
-// silently expires and the next admission re-verifies against the new
-// whitelist. The instance table rejects Sybil re-registration: one
-// enclave instance may register under exactly one peer name.
+// first sight, a sharded cache keyed by the certificate's bytes
+// afterwards. Revocation works by policy epoch — SetPolicy bumps the
+// epoch, so every cached verdict silently expires and the next
+// admission re-verifies against the new whitelist. The instance table
+// rejects Sybil re-registration: one enclave instance may register
+// under exactly one peer name.
 //
 // All methods are safe for concurrent use; the meter passed to Admit is
 // the caller's (each admitting endpoint charges its own verification).
@@ -81,7 +83,7 @@ func NewVerifier(pol attest.Policy, shards int) *Verifier {
 		inst:   make(map[[16]byte]string),
 	}
 	for i := range v.shards {
-		v.shards[i].m = make(map[[32]byte]entry)
+		v.shards[i].m = make(map[string]entry)
 	}
 	return v
 }
@@ -98,12 +100,25 @@ func (v *Verifier) SetPolicy(pol attest.Policy) {
 	v.epoch.Add(1)
 }
 
-// Invalidate drops one cached verdict by certificate digest.
-func (v *Verifier) Invalidate(digest [32]byte) {
-	sh := &v.shards[int(digest[0])%len(v.shards)]
+// Invalidate drops the cached verdict for a serialized certificate.
+func (v *Verifier) Invalidate(raw []byte) {
+	sh := v.shardOf(raw)
 	sh.mu.Lock()
-	delete(sh.m, digest)
+	delete(sh.m, string(raw))
 	sh.mu.Unlock()
+}
+
+// shardOf returns the shard that caches raw. It is picked by the first
+// byte of a certificate's proof-of-possession signature, the low byte of
+// the signature's R point, which is spread evenly over certificates (the
+// signature's last byte, the top of S, only takes 17 values). Input too
+// short to hold a signature takes shard 0.
+func (v *Verifier) shardOf(raw []byte) *shard {
+	i := 0
+	if len(raw) >= ed25519.SignatureSize {
+		i = int(raw[len(raw)-ed25519.SignatureSize]) % len(v.shards)
+	}
+	return &v.shards[i]
 }
 
 // InvalidateAll revokes every cached verdict without changing policy.
@@ -167,12 +182,11 @@ func (v *Verifier) bindInstance(inst [16]byte, peer string) error {
 // verifier nothing on the meter; a warm hit charges exactly
 // core.CostQuoteCacheLookup.
 func (v *Verifier) Admit(m *core.Meter, raw []byte, peer string) (attest.Identity, error) {
-	digest := Digest(raw)
-	sh := &v.shards[int(digest[0])%len(v.shards)]
+	sh := v.shardOf(raw)
 	ep := v.epoch.Load()
 
 	sh.mu.Lock()
-	e, hit := sh.m[digest]
+	e, hit := sh.m[string(raw)]
 	sh.mu.Unlock()
 	if hit && e.epoch == ep {
 		// The verdict is current, but the Sybil check still runs: the
@@ -223,7 +237,7 @@ func (v *Verifier) Admit(m *core.Meter, raw []byte, peer string) (attest.Identit
 	}
 
 	sh.mu.Lock()
-	sh.m[digest] = entry{epoch: ep, id: cert.Quote.Identity, inst: cert.InstanceID}
+	sh.m[string(raw)] = entry{epoch: ep, id: cert.Quote.Identity, inst: cert.InstanceID}
 	sh.mu.Unlock()
 	v.cold.Add(1)
 	v.observe(KindVerifyCold)

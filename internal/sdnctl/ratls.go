@@ -43,8 +43,8 @@ func LaunchControllerRATLS(host *netsim.SimHost, signer *core.Signer, n int) (*C
 // verdict for the controller's certificate dies with it, so the fresh
 // attestation cannot be satisfied by a stale cache entry.
 type certInvalidator struct {
-	v      *ratls.Verifier
-	digest [32]byte
+	v    *ratls.Verifier
+	cert []byte
 }
 
-func (ci certInvalidator) InvalidatePeer(uint32) { ci.v.Invalidate(ci.digest) }
+func (ci certInvalidator) InvalidatePeer(uint32) { ci.v.Invalidate(ci.cert) }

@@ -226,7 +226,7 @@ func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 			if _, err := raVerifier.Admit(asl.Enclave.Meter(), raCert, "controller"); err != nil {
 				return nil, fmt.Errorf("sdnctl: AS%d refused controller certificate: %w", asl.ASN, err)
 			}
-			asl.SetInvalidator(certInvalidator{v: raVerifier, digest: ratls.Digest(raCert)})
+			asl.SetInvalidator(certInvalidator{v: raVerifier, cert: raCert})
 		}
 		if err := asl.Connect("controller"); err != nil {
 			return nil, err

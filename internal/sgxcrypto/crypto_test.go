@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha256"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -11,72 +13,109 @@ import (
 	"sgxnet/internal/core"
 )
 
+// expSecret is the secret Shared must return for k and peer in the
+// group with modulus p: the SHA-256 of big.Int.Exp's group element,
+// computed here rather than by Shared, whose second end the agreement
+// memo serves.
+func expSecret(k *DHKey, p, peer *big.Int) [32]byte {
+	return sha256.Sum256(new(big.Int).Exp(peer, k.x, p).Bytes())
+}
+
+// checkAgreement runs a's and b's Shared, a's first if aFirst and b's
+// first otherwise, and checks each secret against expSecret in the group
+// with modulus p.
+func checkAgreement(m *core.Meter, p *big.Int, a, b *DHKey, aFirst bool) error {
+	first, second := a, b
+	if !aFirst {
+		first, second = b, a
+	}
+	for i, end := range []struct{ k, peer *DHKey }{{first, second}, {second, first}} {
+		got, err := end.k.Shared(m, end.peer.Public)
+		if err != nil {
+			return err
+		}
+		if got != expSecret(end.k, p, end.peer.Public) {
+			return fmt.Errorf("a first %v: end %d's secret is not Exp's", aFirst, i+1)
+		}
+	}
+	return nil
+}
+
+// agree generates two keys in params and checks their agreement.
+func agree(m *core.Meter, params *DHParams, aFirst bool) error {
+	a, err := GenerateKey(m, params, nil)
+	if err != nil {
+		return err
+	}
+	b, err := GenerateKey(m, params, nil)
+	if err != nil {
+		return err
+	}
+	return checkAgreement(m, params.P, a, b, aFirst)
+}
+
 func TestDHAgreementStandardGroup(t *testing.T) {
-	m := core.NewMeter()
-	g := StandardGroup()
-	a, err := GenerateKey(m, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateKey(m, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, err := a.Shared(m, b.Public)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.Shared(m, a.Public)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa != sb {
-		t.Fatal("shared secrets differ")
-	}
-	// 2 keygens + 2 shared = 2 full agreements = 2 × CostDHKeyAgree.
-	if got := m.Normal(); got != 2*core.CostDHKeyAgree {
-		t.Fatalf("charged %d, want %d", got, 2*core.CostDHKeyAgree)
+	for _, aFirst := range []bool{true, false} {
+		m := core.NewMeter()
+		if err := agree(m, StandardGroup(), aFirst); err != nil {
+			t.Fatal(err)
+		}
+		// 2 keygens + 2 shared = 2 full agreements = 2 × CostDHKeyAgree.
+		if got := m.Normal(); got != 2*core.CostDHKeyAgree {
+			t.Fatalf("charged %d, want %d", got, 2*core.CostDHKeyAgree)
+		}
 	}
 }
 
 func TestDHAgreementProperty(t *testing.T) {
-	g := StandardGroup()
-	m := core.NewMeter()
-	f := func(seed uint8) bool {
-		a, err := GenerateKey(m, g, nil)
-		if err != nil {
-			return false
-		}
-		b, err := GenerateKey(m, g, nil)
-		if err != nil {
-			return false
-		}
-		sa, ea := a.Shared(m, b.Public)
-		sb, eb := b.Shared(m, a.Public)
-		return ea == nil && eb == nil && sa == sb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Fatal(err)
+	for _, tc := range reusedGroups {
+		t.Run(tc.name, func(t *testing.T) {
+			params := tc.params(t)
+			m := core.NewMeter()
+			for i := 0; i < 8; i++ {
+				if err := agree(m, params, i%2 == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// TestDHRejectsBadPublic: an out-of-range peer value is rejected before
+// the agreement memo is read or written, and charges nothing. Each bad
+// value but nil finds a planted entry that a lookup would hit; the
+// entries must stay.
 func TestDHRejectsBadPublic(t *testing.T) {
-	m := core.NewMeter()
+	freshMemo(t)
 	g := StandardGroup()
-	k, err := GenerateKey(m, g, nil)
+	k, err := GenerateKey(core.NewMeter(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []*big.Int{
-		nil,
+	bad := []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
 		new(big.Int).Sub(g.P, big.NewInt(1)),
 		new(big.Int).Add(g.P, big.NewInt(5)),
-	} {
-		if _, err := k.Shared(m, bad); err != ErrBadPublic {
-			t.Fatalf("public %v accepted (err=%v)", bad, err)
+	}
+	for _, v := range bad {
+		storeAgreement(keyID{p: k.id.p, g: k.id.g, pub: string(v.Bytes())}, k.id.pub, [32]byte{1})
+	}
+	exps := sharedExps.Load()
+	for _, v := range append(bad, nil) {
+		m := core.NewMeter()
+		if _, err := k.Shared(m, v); err != ErrBadPublic {
+			t.Fatalf("public %v accepted (err=%v)", v, err)
 		}
+		if m.Snapshot() != (core.Tally{}) {
+			t.Fatalf("public %v: a rejection charged %+v", v, m.Snapshot())
+		}
+	}
+	if n := memoLen(); n != len(bad) {
+		t.Fatalf("the memo holds %d entries, want the %d planted", n, len(bad))
+	}
+	if got := sharedExps.Load() - exps; got != 0 {
+		t.Fatalf("rejections ran %d Exps", got)
 	}
 }
 

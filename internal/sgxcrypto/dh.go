@@ -9,10 +9,12 @@
 // cycles go (e.g. "the Diffie-Hellman key exchange takes up 90% of the
 // cycles", §5).
 //
-// Two host-side caches save wall clock without changing any output or
+// Three host-side caches save wall clock without changing any output or
 // charge: the DH parameter cache (paramcache.go) reuses a found prime,
-// and the fixed-base tables (fixedbase.go) compute g^x about twice as
-// fast as big.Int.Exp for the groups a process reuses.
+// the fixed-base tables (fixedbase.go) compute g^x about twice as fast
+// as big.Int.Exp for the groups a process reuses, and the agreement
+// memo (agreememo.go) hands the second end of an in-process agreement
+// the secret the first end computed.
 package sgxcrypto
 
 import (
@@ -97,11 +99,16 @@ func scaleCost(base uint64, bits, refBits, degree int) uint64 {
 	return uint64(c)
 }
 
-// DHKey is one party's ephemeral DH keypair.
+// DHKey is one party's ephemeral DH keypair. Shared works from the
+// key's own copies of the group and of Public, so a caller that changes
+// Params or Public changes neither the key nor what the agreement memo
+// holds.
 type DHKey struct {
 	Params *DHParams
 	Public *big.Int
 	x      *big.Int
+	p      *big.Int // a copy of Params.P
+	id     keyID    // the group and Public as bytes
 }
 
 // GenerateKey creates an ephemeral keypair in the group, charging half the
@@ -123,10 +130,13 @@ func GenerateKey(m *core.Meter, params *DHParams, rnd io.Reader) (*DHKey, error)
 		return nil, err
 	}
 	x.Add(x, big.NewInt(2))
+	pub := expG(params, x)
 	return &DHKey{
 		Params: params,
-		Public: expG(params, x),
+		Public: pub,
 		x:      x,
+		p:      new(big.Int).Set(params.P),
+		id:     keyID{p: string(params.P.Bytes()), g: string(params.G.Bytes()), pub: string(pub.Bytes())},
 	}, nil
 }
 
@@ -136,15 +146,23 @@ var ErrBadPublic = errors.New("sgxcrypto: peer DH public value out of range")
 
 // Shared computes the shared secret with the peer's public value, charging
 // the other half of the key-agreement cost. The returned secret is the
-// SHA-256 of the raw group element, giving a uniform 32-byte key.
+// SHA-256 of the raw group element, giving a uniform 32-byte key. The
+// peer value is checked and the cost charged before the agreement memo
+// is read, so a hit charges what a miss does and a rejected value
+// neither reads nor writes the memo.
 func (k *DHKey) Shared(m *core.Meter, peerPub *big.Int) ([32]byte, error) {
-	var out [32]byte
 	if peerPub == nil || peerPub.Cmp(big.NewInt(2)) < 0 ||
-		peerPub.Cmp(new(big.Int).Sub(k.Params.P, big.NewInt(1))) >= 0 {
-		return out, ErrBadPublic
+		peerPub.Cmp(new(big.Int).Sub(k.p, big.NewInt(1))) >= 0 {
+		return [32]byte{}, ErrBadPublic
 	}
-	m.ChargeNormal(scaleCost(core.CostDHKeyAgree/2, k.Params.Bits(), 1024, 3))
-	z := new(big.Int).Exp(peerPub, k.x, k.Params.P)
-	out = sha256.Sum256(z.Bytes())
-	return out, nil
+	m.ChargeNormal(scaleCost(core.CostDHKeyAgree/2, k.p.BitLen(), 1024, 3))
+	peer := string(peerPub.Bytes())
+	if secret, ok := takeAgreement(k.id, peer); ok {
+		return secret, nil
+	}
+	z := new(big.Int).Exp(peerPub, k.x, k.p)
+	sharedExps.Add(1)
+	secret := sha256.Sum256(z.Bytes())
+	storeAgreement(k.id, peer, secret)
+	return secret, nil
 }

@@ -297,6 +297,9 @@ func BenchmarkGenerateKey(b *testing.B) {
 	}
 }
 
+// BenchmarkShared measures the end of an agreement that computes first:
+// its peer never calls Shared, so every call misses the agreement memo
+// and runs big.Int.Exp. BenchmarkHandshake measures a whole agreement.
 func BenchmarkShared(b *testing.B) {
 	m := core.NewMeter()
 	params := StandardGroup()
