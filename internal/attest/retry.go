@@ -159,34 +159,21 @@ func ChallengeRetry(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim
 	return conn, cid, id, retries, nil
 }
 
-// An Invalidator purges verification state cached outside the session
-// table — a quote-verification cache, an admission ledger — that was
-// derived from the peer's previous attestation. Re-establishment must
-// call it before the fresh challenge runs: a cache entry keyed to the
-// old quote would otherwise let a replayed stale quote satisfy the new
-// connection without ever being re-verified against the current policy.
-type Invalidator interface {
-	InvalidatePeer(connID uint32)
-}
-
 // Reestablish replaces an expired (or revoked) session with a freshly
 // attested one, in the only safe order: first every trace of the old
 // attestation is destroyed — the pending protocol state and stored
-// session on the old connection, plus whatever the Invalidator cached
-// from the old quote — and only then does a new ChallengeRetry run. The
-// scheduling work is what core.CostSessionReestablish prices, so it is
-// charged here (once per re-establishment, before the retry loop adds
-// its own per-attempt costs); detection of the expiry itself, in
-// SessionTable.live, charges nothing. A fresh attestation of a
-// since-revoked peer fails the challenger's current Policy, because no
-// cached verdict survives to shortcut the check.
+// session on the old connection — and only then does a new
+// ChallengeRetry run. The scheduling work is what
+// core.CostSessionReestablish prices, so it is charged here (once per
+// re-establishment, before the retry loop adds its own per-attempt
+// costs); detection of the expiry itself, in SessionTable.live, charges
+// nothing. A fresh attestation of a since-revoked peer fails the
+// challenger's current Policy, because no stored session survives to
+// shortcut the check.
 func Reestablish(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
-	oldConnID uint32, inv Invalidator, dial func() (*netsim.Conn, error), wantDH bool, pol *RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
+	oldConnID uint32, dial func() (*netsim.Conn, error), wantDH bool, pol *RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
 	st.Abort(oldConnID)
 	st.Drop(oldConnID)
-	if inv != nil {
-		inv.InvalidatePeer(oldConnID)
-	}
 	enc.Meter().ChargeNormal(core.CostSessionReestablish)
 	tr.Event(track, "attest.reestablish", map[string]string{
 		"conn": fmt.Sprint(oldConnID),

@@ -169,24 +169,9 @@ func TestSessionExpiry(t *testing.T) {
 	}
 }
 
-// recordingInvalidator captures which peers had their cached
-// verification state purged, and when relative to the session table.
-type recordingInvalidator struct {
-	calls       []uint32
-	staleAtCall []bool // whether the stale session still existed when invalidated
-	st          *ChallengerState
-}
-
-func (r *recordingInvalidator) InvalidatePeer(connID uint32) {
-	r.calls = append(r.calls, connID)
-	_, ok := r.st.Session(connID)
-	r.staleAtCall = append(r.staleAtCall, ok)
-}
-
 // TestReestablishInvalidatesAndCharges: the re-establishment driver must
-// (a) purge the stale session and the invalidator's cached state before
-// dialing, and (b) carry the CostSessionReestablish charge that the
-// detection site no longer pays.
+// (a) purge the stale session before dialing, and (b) carry the
+// CostSessionReestablish charge that the detection site no longer pays.
 func TestReestablishInvalidatesAndCharges(t *testing.T) {
 	f := newFixture(t, Policy{})
 	l := serveAttest(t, f)
@@ -201,19 +186,15 @@ func TestReestablishInvalidatesAndCharges(t *testing.T) {
 	f.cState.Expire(cid)
 	l.Close() // next dial fails: isolates the driver's own charge
 
-	inv := &recordingInvalidator{st: f.cState}
 	f.challenger.Meter().SnapshotAndReset()
 	deadDial := func() (*netsim.Conn, error) { return f.hostC.Dial("no-such-host", "app") }
 	if _, _, _, _, err := Reestablish(nil, "", f.challenger, f.cShim, f.cState,
-		cid, inv, deadDial, true, &RetryPolicy{Attempts: 1, RecvTimeout: 20 * time.Millisecond,
+		cid, deadDial, true, &RetryPolicy{Attempts: 1, RecvTimeout: 20 * time.Millisecond,
 			Backoff: time.Millisecond, BackoffMax: time.Millisecond}); err == nil {
 		t.Fatal("re-establishment against a dead host succeeded")
 	}
 	if got, want := f.challenger.Meter().Normal(), uint64(core.CostSessionReestablish); got != want {
 		t.Fatalf("re-establishment charged %d, want exactly CostSessionReestablish (%d)", got, want)
-	}
-	if len(inv.calls) != 1 || inv.calls[0] != cid {
-		t.Fatalf("invalidator calls = %v, want exactly [%d]", inv.calls, cid)
 	}
 	if _, ok := f.cState.Session(cid); ok {
 		t.Fatal("stale session survived re-establishment")
@@ -251,7 +232,7 @@ func TestRevokedThenRetriedPeerAlwaysRejected(t *testing.T) {
 			t.Fatalf("iteration %d: expired session still usable: %v", i, err)
 		}
 		_, _, _, _, rerr := Reestablish(nil, "", f.challenger, f.cShim, f.cState,
-			cid, nil, dial, true, &pol)
+			cid, dial, true, &pol)
 		var pe *ErrPolicy
 		if rerr == nil || !errors.As(rerr, &pe) {
 			t.Fatalf("iteration %d: revoked-then-retried peer not policy-rejected: %v", i, rerr)

@@ -206,33 +206,19 @@ func (s *Span) End() {
 // RecordSpan emits a complete span (begin+end) for a phase whose delta
 // was measured externally — e.g. with Meter.SnapshotAndReset at a
 // period boundary. The delta still advances the clock and folds into an
-// open aggregate ancestor, so recorded and live spans compose.
+// open aggregate ancestor, so recorded and live spans compose. It is
+// RecordSpanAt with start 0: the span begins at the track clock.
 func (t *Trace) RecordSpan(trackName, name string, delta core.Tally) {
-	if t == nil {
-		return
-	}
-	tk := t.track(trackName)
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	depth := len(tk.stack)
-	tk.emit(Event{TS: tk.clock, Ph: PhaseBegin, Name: name, Depth: depth})
-	tk.clock += delta.Cycles()
-	if len(tk.stack) > 0 {
-		if p := tk.stack[len(tk.stack)-1]; len(p.meters) == 0 {
-			p.agg = p.agg.Add(delta)
-		}
-	}
-	tk.emit(Event{TS: tk.clock, Ph: PhaseEnd, Name: name,
-		Depth: depth, SGXU: delta.SGXU, Normal: delta.Normal, Cycles: delta.Cycles()})
+	t.RecordSpanAt(trackName, name, 0, delta)
 }
 
 // RecordSpanAt emits a complete span whose begin is pinned to an
 // explicit virtual timestamp — the open-loop load engine's shape, where
 // a request starts at max(arrival, server-idle) rather than wherever
 // the track clock happens to sit. The clock first advances to start
-// (clamped monotone: a start in the past degrades to RecordSpan
-// semantics), then by the delta, so queue idle gaps show up as gaps on
-// the track instead of being silently compacted.
+// (clamped monotone: a start in the past begins the span at the track
+// clock, as RecordSpan does), then by the delta, so queue idle gaps
+// show up as gaps on the track instead of being silently compacted.
 func (t *Trace) RecordSpanAt(trackName, name string, start uint64, delta core.Tally) {
 	if t == nil {
 		return

@@ -1,8 +1,8 @@
 // Package ratls implements attested channels in the RA-TLS style: a TLS
 // certificate that carries an EREPORT-derived quote, so the handshake
 // itself proves the peer's channel key terminates inside a whitelisted
-// enclave. The paper sketches this for its network applications — Tor
-// relay admission (§3.2) and controller↔AS channels (§3.1) — where the
+// enclave. It extends the paper (DESIGN.md §15): NF-chain hop admission
+// (internal/nfchain) uses it, and the -ratls-sweep prices it. The
 // expensive step is not the TLS key exchange but the quote verification
 // every new connection would otherwise repeat. A sharded verification
 // cache (verifier.go) amortizes that: N connections presenting the same

@@ -16,7 +16,7 @@ var ErrRejected = errors.New("ratls: certificate rejected")
 
 // entry is one cached verification verdict.
 type entry struct {
-	epoch uint64 // policy epoch the verdict was computed under
+	epoch uint64 // cache epoch the verdict was computed under
 	id    attest.Identity
 	inst  [16]byte
 }
@@ -47,11 +47,11 @@ func (s Stats) HitRate() float64 {
 
 // Verifier admits peers by RA-TLS certificate: full verification on
 // first sight, a sharded cache keyed by the certificate's bytes
-// afterwards. Revocation works by policy epoch — SetPolicy bumps the
-// epoch, so every cached verdict silently expires and the next
-// admission re-verifies against the new whitelist. The instance table
-// rejects Sybil re-registration: one enclave instance may register
-// under exactly one peer name.
+// afterwards. Its policy is fixed when it is built. Revocation works by
+// epoch — InvalidateAll bumps it, so every cached verdict silently
+// expires and the next admission re-verifies in full. The instance
+// table rejects Sybil re-registration: one enclave instance may
+// register under exactly one peer name.
 //
 // All methods are safe for concurrent use; the meter passed to Admit is
 // the caller's (each admitting endpoint charges its own verification).
@@ -60,11 +60,11 @@ type Verifier struct {
 	// Kind* constants in kinds.go). Observations ride outside the meter.
 	Probe core.Probe
 
+	pol    attest.Policy // fixed by NewVerifier, so read without a lock
 	epoch  atomic.Uint64
 	shards []shard
 
 	mu   sync.Mutex
-	pol  attest.Policy
 	inst map[[16]byte]string // instance ID → registered peer name
 
 	cold    atomic.Uint64
@@ -88,26 +88,6 @@ func NewVerifier(pol attest.Policy, shards int) *Verifier {
 	return v
 }
 
-// SetPolicy replaces the acceptance policy and revokes every cached
-// verdict by bumping the epoch — a relay admitted under the old
-// whitelist is fully re-verified on its next connection (the paper's
-// release-registry revocation, §4). Instance registrations survive: a
-// revoked instance stays bound to its name.
-func (v *Verifier) SetPolicy(pol attest.Policy) {
-	v.mu.Lock()
-	v.pol = pol
-	v.mu.Unlock()
-	v.epoch.Add(1)
-}
-
-// Invalidate drops the cached verdict for a serialized certificate.
-func (v *Verifier) Invalidate(raw []byte) {
-	sh := v.shardOf(raw)
-	sh.mu.Lock()
-	delete(sh.m, string(raw))
-	sh.mu.Unlock()
-}
-
 // shardOf returns the shard that caches raw. It is picked by the first
 // byte of a certificate's proof-of-possession signature, the low byte of
 // the signature's R point, which is spread evenly over certificates (the
@@ -121,7 +101,8 @@ func (v *Verifier) shardOf(raw []byte) *shard {
 	return &v.shards[i]
 }
 
-// InvalidateAll revokes every cached verdict without changing policy.
+// InvalidateAll revokes every cached verdict: the next admission of any
+// certificate is a full verification. Instance registrations survive.
 func (v *Verifier) InvalidateAll() { v.epoch.Add(1) }
 
 // Stats snapshots the verifier counters.
@@ -226,10 +207,7 @@ func (v *Verifier) Admit(m *core.Meter, raw []byte, peer string) (attest.Identit
 	}
 	m.ChargeNormal(core.CostSigVerify + uint64(len(body))*core.CostSHA256PerByte)
 
-	v.mu.Lock()
-	pol := v.pol
-	v.mu.Unlock()
-	if perr := pol.Check(&cert.Quote); perr != nil {
+	if perr := v.pol.Check(&cert.Quote); perr != nil {
 		return attest.Identity{}, v.rejectErr(perr)
 	}
 	if err := v.bindInstance(cert.InstanceID, peer); err != nil {

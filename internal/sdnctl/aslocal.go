@@ -219,12 +219,6 @@ type ASLocal struct {
 	// re-attestation (see SetRetryPolicy); nil is one blocking attempt.
 	retry *attest.RetryPolicy
 
-	// inv, when set, is purged on every channel re-establishment —
-	// verification state cached outside the session table (an RA-TLS
-	// verification cache, an admission ledger) derived from the
-	// controller's previous attestation (see attest.Invalidator).
-	inv attest.Invalidator
-
 	// Retries counts attestation retries; Reattests counts full channel
 	// re-establishments after a loss. Driver-side bookkeeping — read them
 	// between operations, not concurrently with one.
@@ -243,12 +237,6 @@ func (a *ASLocal) SetRetryPolicy(pol attest.RetryPolicy) {
 	a.retry = &pol
 	a.Shim.SetRecvTimeout(pol.RecvTimeout)
 }
-
-// SetInvalidator registers the cache-purge hook re-establishment calls
-// before re-attesting: any verdict cached from the controller's old
-// quote must die with the old session, or a revoked controller could be
-// readmitted from the cache without re-verification.
-func (a *ASLocal) SetInvalidator(inv attest.Invalidator) { a.inv = inv }
 
 // LaunchASLocal launches the AS-local controller enclave.
 func LaunchASLocal(host *netsim.SimHost, signer *core.Signer, policy *PolicyMsg, controllerMR core.Measurement) (*ASLocal, error) {
@@ -293,9 +281,9 @@ func reconnectable(err error) bool {
 
 // withReconnect runs op; if it dies with the channel and a retry policy
 // is set, the channel is torn down through attest.Reestablish — pending
-// protocol state, the stored session, and any Invalidator-cached
-// verdicts are destroyed before the fresh challenge runs — and op is
-// retried: the session-expiry/crash recovery loop. Each cycle charges
+// protocol state and the stored session are destroyed before the fresh
+// challenge runs — and op is retried: the session-expiry/crash recovery
+// loop. Each cycle charges
 // core.CostRetryAttempt plus the re-establishment's own cost (the op's
 // instructions are charged by the op).
 func (a *ASLocal) withReconnect(op func() error) error {
@@ -308,8 +296,7 @@ func (a *ASLocal) withReconnect(op func() error) error {
 		if a.conn != nil {
 			a.conn.Close()
 		}
-		conn, cid, _, retries, cerr := attest.Reestablish(nil, "", a.Enclave, a.Shim, a.State.Attest,
-			a.connID, a.inv,
+		conn, cid, _, retries, cerr := attest.Reestablish(nil, "", a.Enclave, a.Shim, a.State.Attest, a.connID,
 			func() (*netsim.Conn, error) { return a.Host.Dial(a.ctlHost, ControllerService) },
 			true, a.retry)
 		a.Retries += retries

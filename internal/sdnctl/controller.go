@@ -289,11 +289,7 @@ type Controller struct {
 // attestation (the target role) followed by the sealed command loop.
 func LaunchController(host *netsim.SimHost, signer *core.Signer, n int) (*Controller, error) {
 	st := NewControllerState(n)
-	return launchController(host, signer, st, ControllerProgram(st))
-}
-
-func launchController(host *netsim.SimHost, signer *core.Signer, st *ControllerState, prog *core.Program) (*Controller, error) {
-	enc, err := host.Platform().Launch(prog, signer)
+	enc, err := host.Platform().Launch(ControllerProgram(st), signer)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/obs"
-	"sgxnet/internal/ratls"
 	"sgxnet/internal/topo"
 	"sgxnet/internal/xcall"
 )
@@ -52,12 +51,6 @@ type RunReport struct {
 	// QuoteXcall is the quoting agent's ring tally when quote serving
 	// runs switchlessly; zero otherwise.
 	QuoteXcall xcall.Stats
-
-	// RATLSCold and RATLSWarm split controller-certificate verifications
-	// when admission runs over attested channels (SGXConfig.RATLSShards):
-	// one cold full verification, warm cache hits for every other AS.
-	// Zero when the run does not use RA-TLS.
-	RATLSCold, RATLSWarm uint64
 }
 
 // ASLocalAvg averages the AS-local tallies.
@@ -100,13 +93,6 @@ type SGXConfig struct {
 	// amortized crossing tally the -xcall-sweep ablation compares
 	// against the synchronous 17-SGX(U)-per-quote baseline.
 	Xcall *xcall.Config
-
-	// RATLSShards, when positive, gates every controller↔AS connection
-	// by the controller's RA-TLS certificate, verified once cold and
-	// amortized across the remaining ASes by a shared cache of that many
-	// shards. The report's RATLSCold/RATLSWarm carry the split; under
-	// Faults, each re-establishment purges the cached verdict first.
-	RATLSShards int
 }
 
 // Deployment is a live SGX deployment of the design, built by Deploy:
@@ -124,7 +110,6 @@ type Deployment struct {
 	agent        *attest.Agent // the controller host's quoting agent
 	quoteServing core.Tally
 	quoteXcall   xcall.Stats
-	raStats      ratls.Stats
 }
 
 // Deploy launches the SGX-enabled design on the given topology and runs
@@ -162,35 +147,13 @@ func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 	if err != nil {
 		return nil, err
 	}
-	launch, ctlMR := LaunchController, ControllerMeasurement(n)
-	if cfg.RATLSShards > 0 {
-		launch, ctlMR = LaunchControllerRATLS, ControllerMeasurementRATLS(n)
-	}
-	ctl, err := launch(ctlHost, signer, n)
+	ctlMR := ControllerMeasurement(n)
+	ctl, err := LaunchController(ctlHost, signer, n)
 	if err != nil {
 		return nil, err
 	}
 	d.Controller = ctl
 
-	// RATLS deployments mint the controller's certificate at launch and
-	// share one verification cache across every AS — the per-connection
-	// amortization the report's RATLSCold/RATLSWarm split shows.
-	var raCert []byte
-	var raVerifier *ratls.Verifier
-	if cfg.RATLSShards > 0 {
-		mt, err := ratls.NewMinter(ctlHost.Platform(), arch)
-		if err != nil {
-			return nil, err
-		}
-		_, raCert, err = mt.Mint(ctl.Enclave)
-		if err != nil {
-			return nil, err
-		}
-		raVerifier = ratls.NewVerifier(attest.Policy{
-			AllowedEnclaves: []core.Measurement{ctlMR},
-			RejectDebug:     true,
-		}, cfg.RATLSShards)
-	}
 	policies := PoliciesFromTopology(t)
 	for a := 0; a < n; a++ {
 		host, err := d.net.AddHost(fmt.Sprintf("as%d", a), core.PlatformConfig{})
@@ -216,25 +179,12 @@ func Deploy(t *topo.Topology, cfg SGXConfig) (_ *Deployment, err error) {
 		d.net.SetFaults(cfg.Faults)
 	}
 
-	// Attestation phase (one remote attestation per AS controller). In
-	// the RATLS deployment each connection is gated by certificate
-	// admission first — cold for the first AS, warm for the rest — and
-	// every AS's re-establishment hook purges the certificate's cached
-	// verdict, so a lost channel forces a full re-verification.
+	// Attestation phase (one remote attestation per AS controller).
 	for _, asl := range d.Locals {
-		if raVerifier != nil {
-			if _, err := raVerifier.Admit(asl.Enclave.Meter(), raCert, "controller"); err != nil {
-				return nil, fmt.Errorf("sdnctl: AS%d refused controller certificate: %w", asl.ASN, err)
-			}
-			asl.SetInvalidator(certInvalidator{v: raVerifier, cert: raCert})
-		}
 		if err := asl.Connect("controller"); err != nil {
 			return nil, err
 		}
 		tr.Event(track, "attest.established", map[string]string{"as": fmt.Sprint(asl.ASN)})
-	}
-	if raVerifier != nil {
-		d.raStats = raVerifier.Stats()
 	}
 	// The attestation phase is the quoting enclave's whole workload:
 	// drain its rings at the boundary and capture its serving tally.
@@ -262,7 +212,6 @@ func (d *Deployment) Run() (*RunReport, error) {
 	rep.RIBs = d.Controller.State.RIBs()
 	rep.QuoteServing = d.quoteServing
 	rep.QuoteXcall = d.quoteXcall
-	rep.RATLSCold, rep.RATLSWarm = d.raStats.Cold, d.raStats.Warm
 	for _, asl := range d.Locals {
 		rep.Installed[asl.ASN] = asl.State.Installed()
 		rep.Retries += asl.Retries

@@ -10,7 +10,6 @@ import (
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
 	"sgxnet/internal/obs"
-	"sgxnet/internal/ratls"
 	"sgxnet/internal/wire"
 )
 
@@ -52,15 +51,9 @@ type Authority struct {
 	signer  *core.Signer
 	wl      []core.Measurement
 
-	// verifier, when non-nil, admits relays by RA-TLS certificate with
-	// an amortizing quote-verification cache (AuthorityConfig.RATLS).
-	verifier *ratls.Verifier
-
 	// Attestations counts remote attestations this authority performed
 	// against ORs (Table 3's "Tor network (Authority)" row).
 	Attestations int
-	// CertAdmissions counts RA-TLS certificate admissions.
-	CertAdmissions int
 
 	trace   *obs.Trace
 	trTrack string
@@ -114,19 +107,11 @@ func (v *dirView) list() []Descriptor {
 
 // AuthorityConfig configures a launched authority.
 type AuthorityConfig struct {
-	Name   string
-	SGX    bool
-	Signer *core.Signer
+	Name string
+	SGX  bool
 	// ORWhitelist is the measurement set SGX authorities accept when
 	// attesting onion routers.
 	ORWhitelist []core.Measurement
-	// RATLS equips the authority with an RA-TLS verifier so relays are
-	// admitted by certificate (AdmitByCertificate) instead of the full
-	// interactive attestation. The verifier caches verdicts: N
-	// admissions of one certificate cost one verification, and the
-	// instance-ID table rejects Sybil re-registration. The verifier
-	// stripes its locks over 4 shards.
-	RATLS bool
 }
 
 // authorityProgram builds the authority enclave: attestation target (for
@@ -195,22 +180,12 @@ func LaunchAuthority(host *netsim.SimHost, cfg AuthorityConfig) (*Authority, err
 		hostView: newDirView(),
 	}
 	if cfg.SGX {
-		signer := cfg.Signer
-		if signer == nil {
-			var err error
-			signer, err = core.NewSigner()
-			if err != nil {
-				return nil, err
-			}
+		signer, err := core.NewSigner()
+		if err != nil {
+			return nil, err
 		}
 		a.signer = signer
 		a.wl = append([]core.Measurement(nil), cfg.ORWhitelist...)
-		if cfg.RATLS {
-			a.verifier = ratls.NewVerifier(attest.Policy{
-				AllowedEnclaves: a.wl,
-				RejectDebug:     true,
-			}, 4)
-		}
 		if err := a.launchEnclave(); err != nil {
 			return nil, err
 		}
@@ -376,47 +351,6 @@ func (a *Authority) AdmitByAttestation(d Descriptor) error {
 	return nil
 }
 
-// AdmitByCertificate admits an OR by its RA-TLS certificate: the quote
-// embedded in the certificate proves the relay's build, so admission
-// needs no interactive protocol — and the verification cache makes
-// re-admission (directory re-scans, authority restarts against the
-// same relay set) cost a cache lookup instead of two signature checks.
-// The instance-ID table refuses the same enclave instance registering
-// under a second relay name (Sybil re-registration).
-func (a *Authority) AdmitByCertificate(d Descriptor, cert []byte) error {
-	if a.verifier == nil {
-		return fmt.Errorf("tor: authority %s has no RA-TLS verifier", a.Name)
-	}
-	if a.Killed() {
-		return fmt.Errorf("tor: authority %s is down", a.Name)
-	}
-	a.mu.Lock()
-	a.CertAdmissions++
-	tr, track := a.trace, a.trTrack
-	a.mu.Unlock()
-	if _, err := a.verifier.Admit(a.enclave.Meter(), cert, d.Name); err != nil {
-		return fmt.Errorf("tor: OR %s failed certificate admission: %w", d.Name, err)
-	}
-	raw, err := wire.Encode(d)
-	if err != nil {
-		return err
-	}
-	if _, err := a.enclave.Call("dir.admit", raw); err != nil {
-		return err
-	}
-	tr.Event(track, "tor.admit", map[string]string{"or": d.Name, "via": "ratls"})
-	return nil
-}
-
-// RATLSStats snapshots the authority's verification-cache counters
-// (zero value when the authority has no RA-TLS verifier).
-func (a *Authority) RATLSStats() ratls.Stats {
-	if a.verifier == nil {
-		return ratls.Stats{}
-	}
-	return a.verifier.Stats()
-}
-
 // Drop removes an OR from this authority's view.
 func (a *Authority) Drop(name string) {
 	if a.SGX && !a.Killed() {
@@ -537,12 +471,6 @@ func (a *Authority) SetORWhitelist(ms []core.Measurement) error {
 	a.wl = append([]core.Measurement(nil), ms...)
 	a.mu.Unlock()
 	a.cstate.SetPolicy(attest.Policy{AllowedEnclaves: ms, RejectDebug: true})
-	if a.verifier != nil {
-		// Revocation reaches the certificate cache too: the epoch bump
-		// forces a full re-verification of every cached relay against
-		// the new whitelist on its next admission.
-		a.verifier.SetPolicy(attest.Policy{AllowedEnclaves: ms, RejectDebug: true})
-	}
 	return nil
 }
 

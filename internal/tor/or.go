@@ -10,7 +10,6 @@ import (
 	"sgxnet/internal/attest"
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
-	"sgxnet/internal/ratls"
 	"sgxnet/internal/sgxcrypto"
 	"sgxnet/internal/wire"
 	"sgxnet/internal/xcall"
@@ -356,7 +355,6 @@ type OR struct {
 	nextLink uint32 // native ORs; an SGX OR's links are shim connIDs
 	listener *netsim.Listener
 	meter    *core.Meter
-	cert     []byte // minted RA-TLS certificate (RATLS deployments)
 }
 
 // ExitPolicy restricts which destination services an exit serves. An
@@ -398,31 +396,6 @@ func (o *OR) Descriptor() Descriptor {
 		Guard: o.Guard, Policy: o.state.policy}
 }
 
-// MintCertificate obtains the OR's RA-TLS certificate from a minter on
-// its own platform and stores it for admission. Requires an enclave
-// built with ORConfig.RATLS.
-func (o *OR) MintCertificate(mt *ratls.Minter) error {
-	if o.enclave == nil {
-		return fmt.Errorf("tor: %s is not SGX-enabled", o.Name)
-	}
-	_, raw, err := mt.Mint(o.enclave)
-	if err != nil {
-		return fmt.Errorf("tor: minting certificate for %s: %w", o.Name, err)
-	}
-	o.mu.Lock()
-	o.cert = raw
-	o.mu.Unlock()
-	return nil
-}
-
-// Certificate returns the OR's minted RA-TLS certificate (nil before
-// MintCertificate).
-func (o *OR) Certificate() []byte {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.cert
-}
-
 // SnoopLog exposes a malicious exit's recordings (attack verification).
 func (o *OR) SnoopLog() []string { return o.state.SnoopLog() }
 
@@ -437,8 +410,7 @@ type ORConfig struct {
 	// SGX runs the OR inside an enclave. A non-honest behavior then
 	// requires a tampered build, whose measurement admission checks will
 	// reject.
-	SGX    bool
-	Signer *core.Signer
+	SGX bool
 	// Version overrides the build version (default ORVersion) — used
 	// when rolling out a new community release (§4).
 	Version string
@@ -450,13 +422,6 @@ type ORConfig struct {
 	// switchless rings sized by this config instead of one
 	// EENTER/EEXIT (in) and one EEXIT/ERESUME (out) per cell.
 	Xcall *xcall.Config
-	// RATLS, when set with SGX, builds the OR image with the RA-TLS
-	// certificate handlers (internal/ratls) so the relay can present an
-	// attested certificate at admission instead of running the full
-	// interactive attestation per authority. The handlers participate in
-	// the measurement: RA-TLS deployments whitelist
-	// HonestORMeasurementRATLS, not HonestORMeasurement.
-	RATLS bool
 }
 
 // LaunchOR starts an onion router on the host.
@@ -512,17 +477,6 @@ func ORProgram(state *orState, tstate *attest.TargetState, version string, behv 
 	return prog
 }
 
-// ORProgramRATLS is the measured OR build of an RA-TLS deployment: the
-// base image plus the certificate-request handlers. A distinct image
-// means a distinct MRENCLAVE, so the community registry publishes both
-// measurements and a deployment whitelists the one matching its
-// admission mode.
-func ORProgramRATLS(state *orState, tstate *attest.TargetState, version string, behv Behavior) *core.Program {
-	prog := ORProgram(state, tstate, version, behv)
-	ratls.AddSubjectHandlers(prog)
-	return prog
-}
-
 // HonestORMeasurement is the whitelisted OR identity of the default
 // release.
 func HonestORMeasurement() core.Measurement {
@@ -533,18 +487,6 @@ func HonestORMeasurement() core.Measurement {
 // release version (what a community registry publishes per release).
 func ORMeasurementForVersion(version string) core.Measurement {
 	return core.MeasureProgram(ORProgram(newORState("m", false, BehaveHonest), attest.NewTargetState(), version, BehaveHonest))
-}
-
-// HonestORMeasurementRATLS is the whitelisted RA-TLS OR identity of the
-// default release.
-func HonestORMeasurementRATLS() core.Measurement {
-	return ORMeasurementForVersionRATLS(ORVersion)
-}
-
-// ORMeasurementForVersionRATLS computes the honest RA-TLS OR identity
-// of a given release version.
-func ORMeasurementForVersionRATLS(version string) core.Measurement {
-	return core.MeasureProgram(ORProgramRATLS(newORState("m", false, BehaveHonest), attest.NewTargetState(), version, BehaveHonest))
 }
 
 func (o *OR) launchEnclave(cfg ORConfig) error {
@@ -559,19 +501,10 @@ func (o *OR) launchEnclave(cfg ORConfig) error {
 		version += "-modified"
 	}
 	o.tstate = attest.NewTargetState()
-	var prog *core.Program
-	if cfg.RATLS {
-		prog = ORProgramRATLS(o.state, o.tstate, version, cfg.Behavior)
-	} else {
-		prog = ORProgram(o.state, o.tstate, version, cfg.Behavior)
-	}
-	signer := cfg.Signer
-	if signer == nil {
-		var err error
-		signer, err = core.NewSigner()
-		if err != nil {
-			return err
-		}
+	prog := ORProgram(o.state, o.tstate, version, cfg.Behavior)
+	signer, err := core.NewSigner()
+	if err != nil {
+		return err
 	}
 	enc, err := o.Host.Platform().Launch(prog, signer)
 	if err != nil {

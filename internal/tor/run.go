@@ -7,7 +7,6 @@ import (
 	"sgxnet/internal/chord"
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
-	"sgxnet/internal/ratls"
 	"sgxnet/internal/wire"
 	"sgxnet/internal/xcall"
 )
@@ -65,14 +64,6 @@ type NetworkConfig struct {
 	// Xcall, when non-nil, makes every SGX OR relay cells switchlessly
 	// through xcall rings sized by this config (see ORConfig.Xcall).
 	Xcall *xcall.Config
-
-	// RATLS switches relay admission to attested channels (DESIGN.md
-	// §15): every SGX OR mints an RA-TLS certificate at launch,
-	// authorities admit by certificate through an amortizing
-	// verification cache, and re-admissions hit the warm path. Off by
-	// default — the extra certificate handlers change the OR
-	// measurement, so baselines stay byte-stable.
-	RATLS bool
 }
 
 // TorNet is a deployed Tor network.
@@ -83,7 +74,6 @@ type TorNet struct {
 	ORs   []*OR
 	Ring  *chord.Ring // fully-SGX mode membership
 	arch  *core.Signer
-	ratls bool
 	seq   int
 }
 
@@ -93,7 +83,7 @@ func Deploy(cfg NetworkConfig) (_ *TorNet, err error) {
 	if cfg.Authorities == 0 && cfg.Mode != ModeSGXFull {
 		return nil, fmt.Errorf("tor: mode %v needs authorities", cfg.Mode)
 	}
-	tn := &TorNet{Mode: cfg.Mode, Net: netsim.New(), ratls: cfg.RATLS}
+	tn := &TorNet{Mode: cfg.Mode, Net: netsim.New()}
 	defer func() {
 		if err != nil {
 			tn.Close()
@@ -130,9 +120,6 @@ func Deploy(cfg NetworkConfig) (_ *TorNet, err error) {
 	// Directory authorities.
 	sgxDirs := cfg.Mode >= ModeSGXDirectory && cfg.Mode != ModeSGXFull
 	orMeasure := HonestORMeasurement()
-	if cfg.RATLS {
-		orMeasure = HonestORMeasurementRATLS()
-	}
 	if cfg.Mode != ModeSGXFull {
 		for i := 0; i < cfg.Authorities; i++ {
 			host, err := tn.newHost(fmt.Sprintf("auth%d", i), sgxDirs)
@@ -143,7 +130,6 @@ func Deploy(cfg NetworkConfig) (_ *TorNet, err error) {
 				Name:        fmt.Sprintf("auth%d", i),
 				SGX:         sgxDirs,
 				ORWhitelist: []core.Measurement{orMeasure},
-				RATLS:       cfg.RATLS,
 			})
 			if err != nil {
 				return nil, err
@@ -159,7 +145,7 @@ func Deploy(cfg NetworkConfig) (_ *TorNet, err error) {
 	for i := 0; i < cfg.Relays+cfg.Exits; i++ {
 		exit := i >= cfg.Relays
 		name := fmt.Sprintf("or%d", i)
-		if _, err := tn.AddOR(ORConfig{Name: name, Exit: exit, SGX: sgxORs, Behavior: BehaveHonest, Xcall: cfg.Xcall, RATLS: cfg.RATLS && sgxORs}); err != nil {
+		if _, err := tn.AddOR(ORConfig{Name: name, Exit: exit, SGX: sgxORs, Behavior: BehaveHonest, Xcall: cfg.Xcall}); err != nil {
 			return nil, err
 		}
 	}
@@ -186,12 +172,6 @@ func (tn *TorNet) newHost(name string, sgx bool) (*netsim.SimHost, error) {
 // the baseline (anything gets in), attestation in SGX modes (tampered
 // builds are refused).
 func (tn *TorNet) AddOR(cfg ORConfig) (*OR, error) {
-	if tn.ratls && cfg.SGX {
-		// A RATLS deployment measures the certificate handlers into
-		// every SGX relay — late joiners included, or their build would
-		// not match the whitelist.
-		cfg.RATLS = true
-	}
 	hostName := cfg.Name + "-host"
 	host, err := tn.newHost(hostName, cfg.SGX)
 	if err != nil {
@@ -203,19 +183,6 @@ func (tn *TorNet) AddOR(cfg ORConfig) (*OR, error) {
 	}
 	tn.ORs = append(tn.ORs, o)
 
-	if cfg.RATLS && cfg.SGX {
-		// Mint the relay's attested-channel certificate at launch: the
-		// host's quoting infrastructure signs a quote over the OR
-		// enclave's channel key and instance ID (DESIGN.md §15).
-		mt, err := ratls.NewMinter(host.Platform(), tn.arch)
-		if err != nil {
-			return o, err
-		}
-		if err := o.MintCertificate(mt); err != nil {
-			return o, err
-		}
-	}
-
 	switch tn.Mode {
 	case ModeBaseline, ModeSGXDirectory:
 		// Status-quo admission: volunteer operators are approved
@@ -226,12 +193,6 @@ func (tn *TorNet) AddOR(cfg ORConfig) (*OR, error) {
 	case ModeSGXORs:
 		if cfg.SGX {
 			for _, a := range tn.Auths {
-				if cfg.RATLS {
-					if err := a.AdmitByCertificate(o.Descriptor(), o.Certificate()); err != nil {
-						return o, fmt.Errorf("tor: %s not admitted: %w", cfg.Name, err)
-					}
-					continue
-				}
 				if err := a.AdmitByAttestation(o.Descriptor()); err != nil {
 					return o, fmt.Errorf("tor: %s not admitted: %w", cfg.Name, err)
 				}
@@ -308,16 +269,12 @@ func (tn *TorNet) NewClient(name string, seed int64) (*Client, error) {
 		return nil, err
 	}
 	sgx := tn.Mode != ModeBaseline
-	orMeasure := HonestORMeasurement()
-	if tn.ratls {
-		orMeasure = HonestORMeasurementRATLS()
-	}
 	return NewClient(host, ClientConfig{
 		Name: name,
 		SGX:  sgx,
 		Whitelist: []core.Measurement{
 			AuthorityMeasurement(),
-			orMeasure,
+			HonestORMeasurement(),
 		},
 		Seed: seed,
 	})
