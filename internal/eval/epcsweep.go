@@ -177,13 +177,7 @@ func epcSweepPoint(tr *obs.Trace, set *series.Set, tenants int, ratio float64, p
 		// tenant meters: monotone within the leg (meters only accumulate
 		// after the reset above), and a pure function of the serial fault
 		// sequence, so the windows are as deterministic as the tallies.
-		pager.SetSeries(sm, func() uint64 {
-			var c uint64
-			for _, m := range meters {
-				c += m.Snapshot().Cycles()
-			}
-			return c
-		})
+		pager.SetSeries(sm, (&meterClock{meters}).Now)
 	}
 	sp := tr.Begin(track, "sgx", meters...)
 	for pass := 0; pass < epcSweepPasses; pass++ {

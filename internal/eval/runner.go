@@ -89,10 +89,11 @@ func mapOrdered[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error)
 	}
 	// Caller-runs policy: a task only spawns when a pool slot is free;
 	// otherwise the calling goroutine executes it inline. Scenarios nest
-	// (Figure 3 → Table4At → native/SGX pair) on the same pool, and a
-	// blocking acquire could leave every slot held by a parent waiting
-	// to spawn a child. Caller-runs keeps the caller always making
-	// progress, so saturation degrades to serial instead of deadlock.
+	// (Figure 3 → Table4At → its native and SGX legs) on the same pool,
+	// and a blocking acquire could leave every slot held by a parent
+	// waiting to spawn a child. Caller-runs keeps the caller always
+	// making progress, so saturation degrades to serial instead of
+	// deadlock.
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		select {
@@ -114,43 +115,6 @@ func mapOrdered[T any](r *Runner, n int, fn func(i int) (T, error)) ([]T, error)
 		}
 	}
 	return out, nil
-}
-
-// pair runs two independent scenario legs concurrently (when the pool
-// allows) and returns both — the native-vs-SGX shape inside one
-// Figure 3 point.
-func pair[A, B any](r *Runner, fa func() (A, error), fb func() (B, error)) (A, B, error) {
-	var a A
-	var b B
-	if r == nil || r.workers <= 1 {
-		a, err := fa()
-		if err != nil {
-			return a, b, err
-		}
-		b, err := fb()
-		return a, b, err
-	}
-	var errA, errB error
-	select {
-	case r.sem <- struct{}{}:
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer func() { <-r.sem }()
-			b, errB = fb()
-		}()
-		a, errA = fa()
-		<-done
-	default: // pool saturated: caller-runs, serially
-		a, errA = fa()
-		if errA == nil {
-			b, errB = fb()
-		}
-	}
-	if errA != nil {
-		return a, b, errA
-	}
-	return a, b, errB
 }
 
 // Section is one independently computable unit of the sgxnet-tables

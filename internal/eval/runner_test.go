@@ -66,12 +66,12 @@ func TestMapOrderedRunsEveryIndexOnce(t *testing.T) {
 
 // TestRunnerBoundsConcurrency: a Runner of w workers never runs more
 // than w scenarios at once, counting the caller, through nested fan-out
-// (points across the pool, a pair inside each point) as in Figure 3.
+// (points across the pool, two legs inside each point) as in Figure 3.
 func TestRunnerBoundsConcurrency(t *testing.T) {
 	for _, workers := range []int{2, 3} {
 		r := NewRunner(workers)
 		var running, peak atomic.Int32
-		leg := func() (struct{}, error) {
+		leg := func(int) (struct{}, error) {
 			n := running.Add(1)
 			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 			}
@@ -80,7 +80,7 @@ func TestRunnerBoundsConcurrency(t *testing.T) {
 			return struct{}{}, nil
 		}
 		_, err := mapOrdered(r, 16, func(int) (struct{}, error) {
-			_, _, err := pair(r, leg, leg)
+			_, err := mapOrdered(r, 2, leg)
 			return struct{}{}, err
 		})
 		if err != nil {
@@ -92,22 +92,11 @@ func TestRunnerBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestPairMatchesSerial(t *testing.T) {
-	fa := func() (string, error) { return "native", nil }
-	fb := func() (int, error) { return 42, nil }
-	for _, workers := range []int{1, 4} {
-		a, b, err := pair(NewRunner(workers), fa, fb)
-		if err != nil || a != "native" || b != 42 {
-			t.Errorf("workers=%d: got (%q, %d, %v)", workers, a, b, err)
-		}
-	}
-}
-
 // TestFigure3ParallelSerialEquivalence runs a short Figure 3 sweep —
-// nested fan-out: points across the pool, a native/SGX pair inside each
-// point — serially and at high parallelism, and requires bit-identical
-// cycle tallies. This is the meter/scenario determinism claim the golden
-// files rest on, checked under -race in CI.
+// nested fan-out: points across the pool, native and SGX legs inside
+// each point — serially and at high parallelism, and requires
+// bit-identical cycle tallies. This is the meter/scenario determinism
+// claim the golden files rest on, checked under -race in CI.
 func TestFigure3ParallelSerialEquivalence(t *testing.T) {
 	ns := []int{5, 10, 15}
 	serial, err := NewRunner(1).figure3(ns)
@@ -123,7 +112,7 @@ func TestFigure3ParallelSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestTable4ParallelSerialEquivalence checks the native-vs-SGX pair legs
+// TestTable4ParallelSerialEquivalence checks the native and SGX legs
 // in isolation, including every per-AS tally in the run reports.
 func TestTable4ParallelSerialEquivalence(t *testing.T) {
 	serial, err := NewRunner(1).Table4At(10)

@@ -44,18 +44,16 @@ func (r *Runner) table4At(n int, trackBase string) (*Table4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	native, sgx, err := pair(r,
-		func() (*sdnctl.RunReport, error) {
+	legs, err := mapOrdered(r, 2, func(i int) (*sdnctl.RunReport, error) {
+		if i == 0 {
 			return sdnctl.RunNative(tp, r.trace, trackBase+"/native")
-		},
-		func() (*sdnctl.RunReport, error) {
-			return sdnctl.RunSGX(tp, sdnctl.SGXConfig{Trace: r.trace, Track: trackBase + "/sgx"})
-		},
-	)
+		}
+		return sdnctl.RunSGX(tp, sdnctl.SGXConfig{Trace: r.trace, Track: trackBase + "/sgx"})
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Table4Result{N: n, Native: native, SGX: sgx}, nil
+	return &Table4Result{N: n, Native: legs[0], SGX: legs[1]}, nil
 }
 
 // RenderTable4 prints the table with reference values.

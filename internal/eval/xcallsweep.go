@@ -118,12 +118,12 @@ func (r *Runner) XcallSweep() ([]XcallSweepPoint, error) {
 	return pts, nil
 }
 
-// meterClock is a late-bound virtual clock for rigs whose only time
-// source is their meters: the ring is configured with Now before the
-// engine exists, then the rig binds the engine's meter(s) once built.
-// Unbound it reads zero; bound, it reads the summed accumulated cycles
-// — a pure function of the rig's serial metered work, so ring samples
-// stamped from it are deterministic.
+// meterClock is a virtual clock for rigs whose only time source is
+// their meters: it reads their summed accumulated cycles — a pure
+// function of the rig's serial metered work, so samples stamped from it
+// are deterministic. The xcall rigs configure a ring with Now before
+// the engine exists and bind the engine's meter(s) once built (unbound
+// it reads zero); the EPC sweep builds one over its tenants' meters.
 type meterClock struct{ meters []*core.Meter }
 
 func (mc *meterClock) bind(ms ...*core.Meter) { mc.meters = ms }

@@ -1,27 +1,21 @@
 package des
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 )
 
 // recorder collects (now, arg) pairs in firing order.
 type recorder struct {
-	mu    sync.Mutex
 	times []uint64
 	args  []uint64
 }
 
 func (r *recorder) OnEvent(now, arg uint64) {
-	r.mu.Lock()
 	r.times = append(r.times, now)
 	r.args = append(r.args, arg)
-	r.mu.Unlock()
 }
 
 // TestFIFOAmongEqualTimestamps: events scheduled at the same virtual
@@ -71,15 +65,25 @@ func TestMonotoneClock(t *testing.T) {
 	}
 
 	// Past-dated schedule from inside a handler clamps to the clock.
-	k2 := New()
-	k2.AtFunc(1000, func(now uint64) {
-		k2.AtFunc(5, func(lateNow uint64) { // 5 << 1000: must clamp
-			if lateNow < now {
-				t.Errorf("past-dated event fired at %d, before the clock at %d", lateNow, now)
-			}
-		})
-	})
-	k2.Run()
+	p := &pastDater{k: New()}
+	p.k.At(1000, p, 0)
+	p.k.Run()
+	if len(p.fired) != 2 || p.fired[1] != 1000 {
+		t.Fatalf("events fired at %v, want [1000 1000]: a past-dated event must clamp to the clock", p.fired)
+	}
+}
+
+// pastDater, on its first event, schedules a second one in the past.
+type pastDater struct {
+	k     *Kernel
+	fired []uint64
+}
+
+func (p *pastDater) OnEvent(now, arg uint64) {
+	p.fired = append(p.fired, now)
+	if arg == 0 {
+		p.k.At(5, p, 1) // 5 << now: must clamp
+	}
 }
 
 // TestPopAllEqualsSortedInsertOrder: draining the heap yields exactly
@@ -114,22 +118,13 @@ func TestPopAllEqualsSortedInsertOrder(t *testing.T) {
 // TestHandlerScheduling: handlers scheduling follow-up events see them
 // fire in order, and stats count both generations.
 func TestHandlerScheduling(t *testing.T) {
-	k := New()
-	var order []uint64
-	var chain func(now uint64)
-	hops := 0
-	chain = func(now uint64) {
-		order = append(order, now)
-		if hops++; hops < 10 {
-			k.AfterFunc(100, chain)
-		}
+	c := &chain{k: New()}
+	c.k.At(50, c, 0)
+	st := c.k.Run()
+	if len(c.order) != 10 {
+		t.Fatalf("chain fired %d times, want 10", len(c.order))
 	}
-	k.AtFunc(50, chain)
-	st := k.Run()
-	if len(order) != 10 {
-		t.Fatalf("chain fired %d times, want 10", len(order))
-	}
-	for i, now := range order {
+	for i, now := range c.order {
 		if want := uint64(50 + 100*i); now != want {
 			t.Fatalf("hop %d at %d, want %d", i, now, want)
 		}
@@ -139,6 +134,20 @@ func TestHandlerScheduling(t *testing.T) {
 	}
 	if st.PeakLive != 1 {
 		t.Fatalf("peak live %d, want 1 (strict chain)", st.PeakLive)
+	}
+}
+
+// chain fires hop after hop, each scheduling the next 100 cycles on,
+// until its tenth.
+type chain struct {
+	k     *Kernel
+	order []uint64
+}
+
+func (c *chain) OnEvent(now, hop uint64) {
+	c.order = append(c.order, now)
+	if hop+1 < 10 {
+		c.k.At(now+100, c, hop+1)
 	}
 }
 
@@ -163,135 +172,6 @@ func TestRunDeterminism(t *testing.T) {
 		if r1.args[i] != r2.args[i] || r1.times[i] != r2.times[i] {
 			t.Fatalf("event %d diverges across identical runs", i)
 		}
-	}
-}
-
-// TestRunUntil: the horizon cuts the schedule and advances the clock to
-// the horizon even when no event lands on it.
-func TestRunUntil(t *testing.T) {
-	k := New()
-	rec := &recorder{}
-	for _, at := range []uint64{10, 20, 500, 900} {
-		k.At(at, rec, at)
-	}
-	st := k.RunUntil(100)
-	if len(rec.args) != 2 {
-		t.Fatalf("fired %d events before horizon, want 2", len(rec.args))
-	}
-	if st.Now != 100 {
-		t.Fatalf("clock at %d after RunUntil(100)", st.Now)
-	}
-	st = k.Run()
-	if len(rec.args) != 4 || st.Now != 900 {
-		t.Fatalf("resume fired %d events, clock %d; want 4, 900", len(rec.args), st.Now)
-	}
-}
-
-// TestBackgroundDrains: the background drainer executes scheduled
-// events promptly in wall time regardless of how far apart they sit in
-// virtual time, preserving (timestamp, seq) order.
-func TestBackgroundDrains(t *testing.T) {
-	k := New()
-	rec := &recorder{}
-	done := make(chan struct{})
-	stop := k.Background()
-	defer stop()
-	// An hour of virtual time between events; wall time must not care.
-	for i := 0; i < 100; i++ {
-		k.At(uint64(i)*DurationCycles(time.Hour), rec, uint64(i))
-	}
-	k.AtFunc(101*DurationCycles(time.Hour), func(uint64) { close(done) })
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("background drainer did not reach the sentinel event in wall time")
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	for i := 1; i < len(rec.args); i++ {
-		if rec.args[i] < rec.args[i-1] {
-			t.Fatalf("background drain reordered events: %d before %d", rec.args[i], rec.args[i-1])
-		}
-	}
-	if len(rec.args) != 100 {
-		t.Fatalf("drained %d events, want 100", len(rec.args))
-	}
-}
-
-// TestBackgroundConcurrentSchedulers: many goroutines scheduling into a
-// draining kernel lose no events and never see the clock move backwards
-// per (timestamp-ordered) firing — the -race job leans on this test.
-func TestBackgroundConcurrentSchedulers(t *testing.T) {
-	k := New()
-	rec := &recorder{}
-	stop := k.Background()
-	const goroutines, per = 8, 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < per; i++ {
-				k.After(uint64(rng.Intn(1000)), rec, uint64(g*per+i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Drain: wait until everything scheduled has been processed.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := k.Stats()
-		if st.Processed == goroutines*per {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d events processed", st.Processed, goroutines*per)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.args) != goroutines*per {
-		t.Fatalf("recorded %d events, want %d", len(rec.args), goroutines*per)
-	}
-	seen := make(map[uint64]bool, len(rec.args))
-	for _, a := range rec.args {
-		if seen[a] {
-			t.Fatalf("event %d fired twice", a)
-		}
-		seen[a] = true
-	}
-}
-
-// TestDurationCycles pins the wall↔virtual exchange rate.
-func TestDurationCycles(t *testing.T) {
-	if got := DurationCycles(time.Microsecond); got != 1000 {
-		t.Fatalf("1µs = %d cycles, want 1000", got)
-	}
-	if got := DurationCycles(-time.Second); got != 0 {
-		t.Fatalf("negative duration = %d cycles, want 0", got)
-	}
-}
-
-// TestAfterSaturates: a delay past the end of the clock saturates at
-// math.MaxUint64 instead of wrapping to a time before Now — After
-// keeps the never-backwards invariant At keeps by clamping.
-func TestAfterSaturates(t *testing.T) {
-	k := New()
-	rec := &recorder{}
-	k.At(1000, rec, 0)
-	k.Step()
-	k.After(math.MaxUint64-10, rec, 1)
-	k.AfterFunc(math.MaxUint64, func(uint64) {})
-	k.Step()
-	if now := k.Now(); now != math.MaxUint64 {
-		t.Fatalf("After(MaxUint64-10) at clock 1000 fired at %d, want %d", now, uint64(math.MaxUint64))
-	}
-	k.Step()
-	if now := k.Now(); now != math.MaxUint64 {
-		t.Fatalf("AfterFunc(MaxUint64) left the clock at %d, want %d", now, uint64(math.MaxUint64))
 	}
 }
 
@@ -332,76 +212,72 @@ func TestAtStepAllocs(t *testing.T) {
 	}
 }
 
-// idHandler is a comparable value handler: each distinct value is a
-// distinct handler.
-type idHandler uint32
+// tagHandler is a comparable value handler that logs its tag when it
+// fires: each distinct tag is a distinct handler.
+type tagHandler struct {
+	tag  uint32
+	seen *[]uint32
+}
 
-func (idHandler) OnEvent(uint64, uint64) {}
+func (h tagHandler) OnEvent(uint64, uint64) { *h.seen = append(*h.seen, h.tag) }
 
-// TestHandlerTableBound: a kernel interns up to 65,535 distinct
-// handlers, an equal value reuses its slot, and one more panics with
-// the kernel left usable.
+// TestHandlerTableBound: a kernel interns up to 65,536 distinct
+// handlers, every slot up to the last one runs its own handler, an
+// equal value reuses its slot, and one more panics with the kernel left
+// usable.
 func TestHandlerTableBound(t *testing.T) {
-	const most = 65_535
+	const most = 1 << 16
+	var seen []uint32
+	h := func(tag int) Handler { return tagHandler{uint32(tag), &seen} }
 	k := New()
 	for i := 0; i < most; i++ {
-		k.At(0, idHandler(i), 0)
+		k.At(uint64(i), h(i), 0)
 	}
-	k.At(0, idHandler(7), 0) // interned already: no new slot
+	k.At(most, h(7), 0) // interned already: no new slot
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("scheduling a 65,536th distinct handler did not panic")
+				t.Error("scheduling a 65,537th distinct handler did not panic")
 			}
 		}()
-		k.At(0, idHandler(most), 0)
+		k.At(most, h(most), 0)
 	}()
 	if n := k.Len(); n != most+1 {
 		t.Fatalf("%d events pending after the panic, want %d", n, most+1)
 	}
-	k.AtFunc(0, func(uint64) {})
+	k.At(most+1, h(most-1), 0) // the last slot's handler, interned already
 	if st := k.Run(); st.Processed != most+2 {
 		t.Fatalf("processed %d events, want %d", st.Processed, most+2)
 	}
-}
-
-// TestBackgroundReleasesClosures: goroutines scheduling closures and
-// handlers of their own into a draining kernel share its handler and
-// closure tables; once every closure has fired, the closure table holds
-// none of them.
-func TestBackgroundReleasesClosures(t *testing.T) {
-	k := New()
-	stop := k.Background()
-	const goroutines, per = 4, 250
-	var fired sync.WaitGroup
-	fired.Add(goroutines * per)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			h := &counter{}
-			for i := 0; i < per; i++ {
-				k.AfterFunc(uint64(i%7), func(uint64) { fired.Done() })
-				k.After(uint64(i%5), idHandler(g), 0)
-				k.At(0, h, 0)
-			}
-		}(g)
-	}
-	wg.Wait()
-	fired.Wait()
-	stop()
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	for i, fn := range k.funcs {
-		if fn != nil {
-			t.Fatalf("closure table entry %d still held after it fired", i)
+	for i := 0; i < most; i++ {
+		if seen[i] != uint32(i) {
+			t.Fatalf("event %d ran handler %d, want %d", i, seen[i], i)
 		}
 	}
-	if len(k.free) != len(k.funcs) {
-		t.Fatalf("%d of %d closure table entries free, want all", len(k.free), len(k.funcs))
+	if seen[most] != 7 || seen[most+1] != most-1 {
+		t.Fatalf("last two events ran handlers %d and %d, want 7 and %d", seen[most], seen[most+1], most-1)
 	}
-	if len(k.handlers) != 2*goroutines {
-		t.Fatalf("%d handlers interned, want %d", len(k.handlers), 2*goroutines)
+}
+
+// nopHandler does nothing, as the benchmark's DES rung's handler does.
+type nopHandler struct{}
+
+func (nopHandler) OnEvent(uint64, uint64) {}
+
+// BenchmarkKernelStep times one At plus one Step on a steady
+// 1,024-event heap: the loop the benchmark's des.push_pop_ns rung
+// times, with the same handler and the same timestamps.
+func BenchmarkKernelStep(b *testing.B) {
+	k := New()
+	var h nopHandler
+	const depth = 1024
+	for i := uint64(0); i < depth; i++ {
+		k.At(mix(1, i+1)%1_000_000, h, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := uint64(depth); i < depth+uint64(b.N); i++ {
+		k.At(k.Now()+mix(1, i+1)%1_000_000, h, 0)
+		k.Step()
 	}
 }

@@ -7,22 +7,25 @@ import (
 )
 
 // The reference model: a kernel run must fire exactly the events a
-// stable sort by (timestamp, schedule order) fires, whichever handlers,
-// closures and nested schedules produced them.
+// stable sort by (timestamp, schedule order) fires, whichever handlers
+// and nested schedules produced them.
 
 // fired is one event as its handler saw it.
 type fired struct {
 	at  uint64
-	who int // 0, 1: pointer handlers; 2, 3: values of one comparable type; closureWho
+	who int // 0, 1: pointer handlers; 2, 3: values of one comparable type; twinWho
 	arg uint64
 }
 
 const (
-	closureWho = 4
-	whos       = 5
+	// twinWho is a value of a second type whose fields equal valH{r, 2}'s:
+	// the kernel must tell the two apart by type.
+	twinWho = 4
+	whos    = 5
 )
 
-// sched is one scheduling request: At(t) or, when rel, After(t).
+// sched is one scheduling request: At(t) or, when rel, At(Now()+t)
+// saturated at the end of the clock.
 type sched struct {
 	t   uint64
 	rel bool
@@ -92,9 +95,16 @@ type valH struct {
 	id int
 }
 
+// twinH has valH's fields, so only its type tells it from a valH.
+type twinH struct {
+	r  *orderRun
+	id int
+}
+
 func (h *ptrA) OnEvent(now, arg uint64) { h.r.fire(now, 0, arg) }
 func (h *ptrB) OnEvent(now, arg uint64) { h.r.fire(now, 1, arg) }
 func (h valH) OnEvent(now, arg uint64)  { h.r.fire(now, h.id, arg) }
+func (h twinH) OnEvent(now, arg uint64) { h.r.fire(now, twinWho, arg) }
 
 func (r *orderRun) fire(now uint64, who int, arg uint64) {
 	r.log = append(r.log, fired{at: now, who: who, arg: arg})
@@ -112,30 +122,31 @@ func (r *orderRun) schedule(s sched) {
 		h = &ptrB{r} // a fresh pointer each time: a new handler
 	case 2, 3:
 		h = valH{r, s.who} // rebuilt each time: must reuse its slot
-	case closureWho:
-		fn := func(now uint64) { r.fire(now, closureWho, s.arg) }
-		if s.rel {
-			r.k.AfterFunc(s.t, fn)
-		} else {
-			r.k.AtFunc(s.t, fn)
-		}
-		return
+	case twinWho:
+		h = twinH{r, 2}
 	}
-	if s.rel {
-		r.k.After(s.t, h, s.arg)
-	} else {
-		r.k.At(s.t, h, s.arg)
+	r.k.At(timeOf(s, r.k.Now()), h, s.arg)
+}
+
+// timeOf is the timestamp s asks for when scheduled at clock now.
+func timeOf(s sched, now uint64) uint64 {
+	if !s.rel {
+		return s.t
 	}
+	if s.t > math.MaxUint64-now {
+		return math.MaxUint64
+	}
+	return now + s.t
 }
 
 // kernelOrder runs the initial schedule on a fresh kernel.
-func kernelOrder(initial []sched) ([]fired, *Kernel) {
+func kernelOrder(initial []sched) []fired {
 	r := newOrderRun()
 	for _, s := range initial {
 		r.schedule(s)
 	}
 	r.k.Run()
-	return r.log, r.k
+	return r.log
 }
 
 // referenceOrder replays the same schedule on a plain list kept in
@@ -146,14 +157,7 @@ func referenceOrder(initial []sched) []fired {
 	var q []fired
 	var now uint64
 	add := func(s sched) {
-		t := s.t
-		if s.rel {
-			t = now + s.t
-			if s.t > math.MaxUint64-now {
-				t = math.MaxUint64
-			}
-		}
-		q = append(q, fired{at: max(t, now), who: s.who, arg: s.arg})
+		q = append(q, fired{at: max(timeOf(s, now), now), who: s.who, arg: s.arg})
 	}
 	for _, s := range initial {
 		add(s)
@@ -181,7 +185,7 @@ func referenceOrder(initial []sched) []fired {
 // they spawn, in the reference order.
 func checkOrder(t testing.TB, initial []sched) {
 	t.Helper()
-	got, k := kernelOrder(initial)
+	got := kernelOrder(initial)
 	want := referenceOrder(initial)
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
@@ -191,16 +195,12 @@ func checkOrder(t testing.TB, initial []sched) {
 	if len(got) != len(want) {
 		t.Fatalf("kernel fired %d events, reference %d", len(got), len(want))
 	}
-	for i, fn := range k.funcs {
-		if fn != nil {
-			t.Fatalf("closure table entry %d still held after the run", i)
-		}
-	}
 }
 
 // TestOrderMatchesReference: random schedules over two pointer handler
-// types, two values of a comparable type and closures, with events
-// scheduling more from inside their handlers, fire in reference order.
+// types, two values of a comparable type and a value of a twin type,
+// with events scheduling more from inside their handlers, fire in
+// reference order.
 func TestOrderMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -218,7 +218,7 @@ func TestOrderMatchesReference(t *testing.T) {
 }
 
 // FuzzKernelOrder: each 3 input bytes become one initial event — its
-// time, its handler (or closure) and relative or absolute timing, and
+// time, its handler and relative or absolute timing, and
 // how deep and wide its nested schedules run — and the kernel must fire
 // the whole cascade in reference order.
 func FuzzKernelOrder(f *testing.F) {

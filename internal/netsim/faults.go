@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sgxnet/internal/netsim/des"
 )
 
 // Fault-schedule engine: seeded, per-link disturbance layered on the
@@ -28,13 +26,9 @@ import (
 //   - partitions and host crash/restart events trigger on the global
 //     message counter (a virtual clock every Send ticks), not wall time.
 //
-// Latency and jitter are realized as delays on a per-link delivery
-// pipeline that preserves FIFO order unless reordering is explicitly
-// scheduled, so "slow" and "shuffled" are independent axes. With a
-// des.Kernel attached to the network the delays are virtual-clock
-// events (one cycle per nanosecond of configured latency) executed in
-// deterministic (timestamp, seq) order with no real-time dependence;
-// without one they fall back to wall-clock sleeps on the link worker.
+// Latency and jitter are realized as wall-clock delays on a per-link
+// delivery pipeline that preserves FIFO order unless reordering is
+// explicitly scheduled, so "slow" and "shuffled" are independent axes.
 
 // LinkFaults is the disturbance profile of one directed link. Empty
 // From/To act as wildcards, letting one rule cover the whole network.
@@ -159,29 +153,24 @@ type crashState struct {
 // delivery pipeline. Delayed deliveries go through a FIFO queue drained
 // by a single worker goroutine — concurrent timers would race at
 // near-equal release times and turn latency into accidental reordering.
-// In DES mode the kernel decides *when* a message is released (virtual
-// clock) and the queue decides *who* delivers it (the link worker, so a
-// full connection buffer can only stall its own link, never the kernel
-// drainer).
 type linkState struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
-	held     *heldMsg // message held back for reordering
-	queue    []delayedMsg
-	working  bool
-	vrelease uint64 // DES mode: last virtual release time on this link
+	mu      sync.Mutex
+	rng     *rand.Rand
+	held    *heldMsg // message held back for reordering
+	queue   []delayedMsg
+	working bool
 }
 
 type heldMsg struct {
 	payload []byte
 	deliver func([]byte)
-	timer   *time.Timer // wall-clock mode only; nil under a DES kernel
+	timer   *time.Timer // flushes the message if no successor takes it over
 }
 
 type delayedMsg struct {
 	payload []byte
 	deliver func([]byte)
-	release time.Time // zero when the DES kernel already waited out the delay
+	release time.Time
 }
 
 // enqueue appends a delayed delivery and ensures a worker is draining the
@@ -205,11 +194,7 @@ func (ls *linkState) work() {
 		m := ls.queue[0]
 		ls.queue = ls.queue[1:]
 		ls.mu.Unlock()
-		// DES-released messages carry a zero release: their delay already
-		// elapsed on the virtual clock, so the worker never sleeps.
-		if !m.release.IsZero() {
-			time.Sleep(time.Until(m.release))
-		}
+		time.Sleep(time.Until(m.release))
 		m.deliver(m.payload)
 	}
 }
@@ -391,9 +376,7 @@ func (s *FaultSchedule) process(n *Network, from, to string, payload []byte, del
 	var prev *heldMsg
 	if h := ls.held; h != nil {
 		ls.held = nil
-		if h.timer != nil {
-			h.timer.Stop()
-		}
+		h.timer.Stop()
 		prev = h
 	}
 
@@ -434,14 +417,11 @@ func (s *FaultSchedule) process(n *Network, from, to string, payload []byte, del
 		s.notify("dup", from, to, tick)
 	}
 
-	kernel := n.Kernel()
-
 	if reorder {
-		// Hold this message; the link's next message (or the flush —
-		// a virtual-clock event under a DES kernel, a wall timer
-		// otherwise) releases it.
+		// Hold this message; the link's next message (or the flush
+		// timer) releases it.
 		h := &heldMsg{payload: payload, deliver: deliver}
-		flush := func() {
+		h.timer = time.AfterFunc(maxHold, func() {
 			ls.mu.Lock()
 			if ls.held != h {
 				ls.mu.Unlock()
@@ -450,12 +430,7 @@ func (s *FaultSchedule) process(n *Network, from, to string, payload []byte, del
 			ls.held = nil
 			ls.mu.Unlock()
 			h.deliver(h.payload)
-		}
-		if kernel != nil {
-			kernel.AfterFunc(des.DurationCycles(maxHold), func(uint64) { flush() })
-		} else {
-			h.timer = time.AfterFunc(maxHold, flush)
-		}
+		})
 		ls.held = h
 		ls.mu.Unlock()
 		s.reordered.Add(1)
@@ -474,26 +449,7 @@ func (s *FaultSchedule) process(n *Network, from, to string, payload []byte, del
 		}
 		return true
 	}
-	if kernel != nil {
-		// Virtual-clock delay: the kernel fires at the release cycle and
-		// hands the message to the link worker, which delivers without
-		// sleeping. Release times are clamped per link so latency can
-		// never reorder a link on its own (same FIFO guarantee as the
-		// wall-clock pipeline), and the whole path is free of real time.
-		release := kernel.Now() + des.DurationCycles(delay)
-		if release < ls.vrelease {
-			release = ls.vrelease
-		}
-		ls.vrelease = release
-		m := delayedMsg{payload: payload, deliver: deliver}
-		kernel.AtFunc(release, func(uint64) {
-			ls.mu.Lock()
-			ls.enqueue(m)
-			ls.mu.Unlock()
-		})
-	} else {
-		ls.enqueue(delayedMsg{payload: payload, deliver: deliver, release: time.Now().Add(delay)})
-	}
+	ls.enqueue(delayedMsg{payload: payload, deliver: deliver, release: time.Now().Add(delay)})
 	ls.mu.Unlock()
 	s.delayed.Add(1)
 	s.notify("delay", from, to, tick)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"sgxnet/internal/core"
-	"sgxnet/internal/netsim/des"
 )
 
 // Network connects hosts by name. Its owner calls Close once the
@@ -38,11 +37,6 @@ type Network struct {
 	// faults, when set, is the installed disturbance plan consulted on
 	// every Send (see faults.go).
 	faults atomic.Pointer[FaultSchedule]
-
-	// kernel, when set, is the discrete-event scheduler the fault
-	// engine's delay/jitter/reorder pipeline rides: delayed deliveries
-	// become virtual-clock events instead of wall-clock sleeps.
-	kernel atomic.Pointer[des.Kernel]
 
 	// Stats
 	messages atomic.Uint64
@@ -88,18 +82,6 @@ func (n *Network) SetFaults(s *FaultSchedule) { n.faults.Store(s) }
 
 // Faults returns the installed fault schedule, if any.
 func (n *Network) Faults() *FaultSchedule { return n.faults.Load() }
-
-// SetKernel attaches a discrete-event kernel; nil detaches it. With a
-// kernel attached, the fault engine's latency/jitter delays and reorder
-// holds are realized as virtual-clock events — deterministic per link
-// and free of real-time dependence — instead of wall-clock sleeps and
-// timers. The kernel must be draining (des.Kernel.Background) while the
-// goroutine-driven protocol rigs run, or delayed deliveries would sit
-// in the heap forever. Attach before traffic starts.
-func (n *Network) SetKernel(k *des.Kernel) { n.kernel.Store(k) }
-
-// Kernel returns the attached discrete-event kernel, if any.
-func (n *Network) Kernel() *des.Kernel { return n.kernel.Load() }
 
 // Messages reports the total messages delivered.
 func (n *Network) Messages() uint64 { return n.messages.Load() }

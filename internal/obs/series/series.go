@@ -2,7 +2,7 @@
 // observability stack: deterministic counter and gauge samples keyed
 // to the virtual cycle clock the whole repo shares (core.Meter tallies,
 // obs.Trace span timestamps, and des.Kernel virtual time all count the
-// same modeled cycles at 1 cycle = 1 ns — des.CyclesPerSecond).
+// same modeled cycles; the OpenMetrics export reads 1 cycle as 1 ns).
 //
 // A Set holds every series of one run, bucketed into fixed windows of N
 // cycles. Instruments observe (timestamp, value) pairs; the set reduces
